@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "concepts/GodinBuilder.h"
-#include "concepts/LindigBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 #include "concepts/ParallelBuilder.h"
 #include "support/Budget.h"
@@ -89,25 +88,6 @@ void BM_GodinUnlimitedMeter(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_GodinUnlimitedMeter);
-
-void BM_LindigUnbudgeted(benchmark::State &State) {
-  Context Ctx = randomContext(64, 6, 24, 42);
-  for (auto _ : State) {
-    ConceptLattice L = LindigBuilder::buildLattice(Ctx);
-    benchmark::DoNotOptimize(L);
-  }
-}
-BENCHMARK(BM_LindigUnbudgeted);
-
-void BM_LindigUnlimitedMeter(benchmark::State &State) {
-  Context Ctx = randomContext(64, 6, 24, 42);
-  for (auto _ : State) {
-    BudgetMeter Meter{Budget{}};
-    LatticeBuildResult R = LindigBuilder::buildLatticeBudgeted(Ctx, Meter);
-    benchmark::DoNotOptimize(R);
-  }
-}
-BENCHMARK(BM_LindigUnlimitedMeter);
 
 void BM_ParallelUnbudgeted(benchmark::State &State) {
   Context Ctx = randomContext(64, 6, 24, 42);

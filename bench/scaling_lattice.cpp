@@ -17,8 +17,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "concepts/Covers.h"
 #include "concepts/GodinBuilder.h"
-#include "concepts/LindigBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 #include "concepts/ParallelBuilder.h"
 #include "concepts/ShardedBuilder.h"
@@ -62,19 +62,6 @@ void BM_GodinVsObjects(benchmark::State &State) {
   size_t Concepts = 0;
   for (auto _ : State) {
     ConceptLattice L = GodinBuilder::buildLattice(Ctx);
-    Concepts = L.size();
-    benchmark::DoNotOptimize(L);
-  }
-  State.counters["concepts"] = static_cast<double>(Concepts);
-  State.counters["objects"] = static_cast<double>(NumObjects);
-}
-
-void BM_LindigVsObjects(benchmark::State &State) {
-  size_t NumObjects = static_cast<size_t>(State.range(0));
-  Context Ctx = randomContext(NumObjects, /*K=*/6, /*PoolSize=*/24, 42);
-  size_t Concepts = 0;
-  for (auto _ : State) {
-    ConceptLattice L = LindigBuilder::buildLattice(Ctx);
     Concepts = L.size();
     benchmark::DoNotOptimize(L);
   }
@@ -377,6 +364,51 @@ double closureThroughputProbe(cable::bench::BenchReport &Report,
   return Speedup;
 }
 
+/// Times cover computation over the concepts of the random k=6 sweep
+/// context at \p NumObjects objects, both serial: the pairwise coversAt
+/// scan (the oracle, and the cover algorithm of every complete build
+/// before neighbour counting) against computeCovers. Records sections
+/// covers-scan-<n> / covers-count-<n> and the counter cover_speedup_<n> =
+/// median(scan) / median(count) that tests/bench/cover_guard.sh gates on.
+void coverSpeedupProbe(cable::bench::BenchReport &Report, size_t NumObjects,
+                       int Samples) {
+  Context Ctx = randomContext(NumObjects, /*K=*/6, /*PoolSize=*/24, 42);
+  std::vector<Concept> Concepts;
+  for (BitVector &Intent : NextClosureBuilder::allClosedIntents(Ctx)) {
+    Concept C;
+    C.Extent = Ctx.tau(Intent);
+    C.Intent = std::move(Intent);
+    Concepts.push_back(std::move(C));
+  }
+  std::string Tag = std::to_string(NumObjects);
+  size_t ScanEdges = 0, CountEdges = 0;
+  std::vector<double> ScanMs, CountMs;
+  for (int S = 0; S < Samples; ++S) {
+    ScanMs.push_back(Report.timeSample("covers-scan-" + Tag, [&] {
+      std::vector<size_t> Card(Concepts.size());
+      for (size_t I = 0; I < Concepts.size(); ++I)
+        Card[I] = Concepts[I].Extent.count();
+      std::vector<ConceptLattice::NodeId> Order =
+          ConceptLattice::coverScanOrder(Card);
+      ScanEdges = 0;
+      for (size_t AI = 0; AI < Order.size(); ++AI)
+        ScanEdges += ConceptLattice::coversAt(Concepts, Order, Card, AI).size();
+    }));
+    CountMs.push_back(Report.timeSample("covers-count-" + Tag, [&] {
+      CoverLists Covers = computeCovers(Ctx, Concepts, nullptr);
+      CountEdges = 0;
+      for (const std::vector<ConceptLattice::NodeId> &P : Covers.Parents)
+        CountEdges += P.size();
+    }));
+  }
+  double ScanMed = median(ScanMs), CountMed = median(CountMs);
+  Report.counter("cover_speedup_" + Tag,
+                 CountMed > 0 ? ScanMed / CountMed : 0);
+  Report.counter("cover_concepts_" + Tag,
+                 static_cast<double>(Concepts.size()));
+  Report.counter("cover_edges_agree_" + Tag, ScanEdges == CountEdges ? 1 : 0);
+}
+
 /// Per-kernel throughput sections at one dispatch level, pinned with
 /// ForcedLevelGuard: kernel-{and,subset,popcount,andmany}-<level>.
 void kernelThroughputProbe(cable::bench::BenchReport &Report, simd::Level L,
@@ -431,12 +463,6 @@ BENCHMARK(BM_GodinVsObjects)
     ->Arg(128)
     ->Arg(256)
     ->Arg(512)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
-BENCHMARK(BM_LindigVsObjects)
-    ->Arg(32)
-    ->Arg(64)
-    ->Arg(128)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 BENCHMARK(BM_GodinVsK)
@@ -539,6 +565,14 @@ int main(int Argc, char **Argv) {
                      Med > 0 ? SerialMed / Med : 0);
     }
     Report.counter("sharded_identical", Identical ? 1 : 0);
+  }
+
+  // Cover computation: neighbour counting against the pairwise scan, for
+  // the cover guard. Emitted in quick mode too.
+  {
+    int Samples = cable::bench::BenchReport::quick() ? 3 : 7;
+    coverSpeedupProbe(Report, 512, Samples);
+    coverSpeedupProbe(Report, 2048, Samples);
   }
 
   // Kernel + closure throughput probes for the kernel regression guard

@@ -22,7 +22,7 @@
 #include "concepts/Context.h"
 #include "concepts/GodinBuilder.h"
 #include "concepts/Lattice.h"
-#include "concepts/LindigBuilder.h"
+#include "concepts/Covers.h"
 #include "concepts/NextClosureBuilder.h"
 #include "fa/Automaton.h"
 #include "fa/Dfa.h"

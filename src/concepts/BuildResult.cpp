@@ -107,7 +107,7 @@ cable::makeTruncatedFromIntents(const Context &Ctx,
   R.BuildStatus = truncationStatus(Stop, Meter, "lattice construction");
   // Memory cuts are capped like deadline cuts: the enumerated prefix can
   // be the very allocation pressure that triggered containment, and the
-  // quadratic cover computation must not re-trip it.
+  // pairwise cover scan a truncated subset needs must not re-trip it.
   size_t Cap = Stop == BuildStop::Time || Stop == BuildStop::Memory
                    ? DeadlineKeepCap
                    : SIZE_MAX;

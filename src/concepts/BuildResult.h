@@ -48,19 +48,20 @@ struct LatticeBuildResult {
 };
 
 /// How many concepts a deadline-truncated result retains. Enumeration can
-/// race far past what cover computation (quadratic in the concept count)
-/// can afford within the same deadline, so the kept prefix is capped; this
-/// keeps "returns within a small factor of the deadline" true regardless
-/// of how fast closures are. Budget::MaxConcepts truncation is exact and
-/// is not capped.
+/// race far past what the cover scan of a truncated subset (quadratic in
+/// the concept count) can afford within the same deadline, so the kept
+/// prefix is capped; this keeps "returns within a small factor of the
+/// deadline" true regardless of how fast closures are.
+/// Budget::MaxConcepts truncation is exact and is not capped.
 inline constexpr size_t DeadlineKeepCap = 1024;
 
 /// Assembles a well-formed lattice from an arbitrary subset of a context's
 /// concepts: reduces to \p Cap (keeping the most general concepts,
 /// deterministically), then ensures the context's true top and bottom are
 /// present so ConceptLattice's structural invariants hold. Preserves the
-/// input order of the kept concepts. Cover edges are recomputed serially —
-/// truncated sets are small by construction.
+/// input order of the kept concepts. Cover edges come from the pairwise
+/// scan, serially: a truncated subset is not closed under closure, so
+/// neighbour counting does not apply, and it is small by construction.
 ConceptLattice finalizeTruncatedConcepts(const Context &Ctx,
                                          std::vector<Concept> Concepts,
                                          size_t Cap);

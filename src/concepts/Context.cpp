@@ -136,9 +136,14 @@ BitVector Context::tauReference(const BitVector &Attrs) const {
 }
 
 void Context::sigmaInto(const BitVector &Objects, BitVector &Out) const {
+  NumSigma.add();
+  sigmaIntoUncounted(Objects, Out);
+}
+
+void Context::sigmaIntoUncounted(const BitVector &Objects,
+                                 BitVector &Out) const {
   assert(Objects.size() == numObjects() && "object universe mismatch");
   assert(Out.size() == numAttributes() && "output universe mismatch");
-  NumSigma.add();
   Out.setAll();
   if (UseReferencePaths) {
     for (size_t O : Objects)
@@ -151,9 +156,13 @@ void Context::sigmaInto(const BitVector &Objects, BitVector &Out) const {
 }
 
 void Context::tauInto(const BitVector &Attrs, BitVector &Out) const {
+  NumTau.add();
+  tauIntoUncounted(Attrs, Out);
+}
+
+void Context::tauIntoUncounted(const BitVector &Attrs, BitVector &Out) const {
   assert(Attrs.size() == numAttributes() && "attribute universe mismatch");
   assert(Out.size() == numObjects() && "output universe mismatch");
-  NumTau.add();
   Out.setAll();
   if (UseReferencePaths) {
     for (size_t A : Attrs)
@@ -191,8 +200,20 @@ BitVector Context::closeIntent(const BitVector &Attrs) const {
   return Out;
 }
 
+void Context::countIntentClosures(uint64_t N) {
+  NumTau.add(N);
+  NumSigma.add(N);
+}
+
 void Context::closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
                               BitVector &Out) const {
+  countIntentClosures(1);
+  closeIntentIntoUncounted(Attrs, ObjScratch, Out);
+}
+
+void Context::closeIntentIntoUncounted(const BitVector &Attrs,
+                                       BitVector &ObjScratch,
+                                       BitVector &Out) const {
   // Contexts whose attributes fit one word (the paper's regime: attributes
   // are FA transitions) and whose objects fit eight run the whole closure
   // in registers; the switch picks a fully unrolled column stride.
@@ -200,8 +221,6 @@ void Context::closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
       ColStride <= 8) {
     assert(Attrs.size() == NAttr && Out.size() == NAttr &&
            ObjScratch.size() == NObj && "universe mismatch");
-    NumTau.add();
-    NumSigma.add();
     uint64_t Sel = Attrs.words()[0];
     uint64_t ObjMask = ObjScratch.tailMask(), AttrMask = Out.tailMask();
     uint64_t *Ext = ObjScratch.words(), *Int = Out.words();
@@ -242,8 +261,8 @@ void Context::closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
     assert(Out.tailIsClean() && ObjScratch.tailIsClean());
     return;
   }
-  tauInto(Attrs, ObjScratch);
-  sigmaInto(ObjScratch, Out);
+  tauIntoUncounted(Attrs, ObjScratch);
+  sigmaIntoUncounted(ObjScratch, Out);
 }
 
 void Context::closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,

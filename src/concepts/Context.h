@@ -89,6 +89,17 @@ public:
   void closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
                        BitVector &Out) const;
 
+  /// closeIntentInto that adds nothing to the context.tau-calls /
+  /// context.sigma-calls counters, for closure loops running on several
+  /// pool workers at once: with metrics armed, a shared counter bumped per
+  /// closure would make every closure a contended atomic increment. Such a
+  /// loop adds its closures once per worker with countIntentClosures.
+  void closeIntentIntoUncounted(const BitVector &Attrs,
+                                BitVector &ObjScratch, BitVector &Out) const;
+
+  /// Counts \p N intent closures as \p N closeIntentInto calls would.
+  static void countIntentClosures(uint64_t N);
+
   /// Allocation-free extent closure: \p AttrScratch sized numAttributes(),
   /// \p Out sized numObjects().
   void closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,
@@ -146,6 +157,10 @@ public:
   std::vector<std::string> AttributeNames;
 
 private:
+  /// sigmaInto / tauInto without the call counters.
+  void sigmaIntoUncounted(const BitVector &Objects, BitVector &Out) const;
+  void tauIntoUncounted(const BitVector &Attrs, BitVector &Out) const;
+
   size_t NObj = 0;
   size_t NAttr = 0;
   /// Words per row in RowArena: ceil(NAttr / 64).

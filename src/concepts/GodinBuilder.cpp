@@ -174,7 +174,8 @@ ConceptLattice GodinBuilder::buildLattice(const Context &Ctx) {
   GodinBuilder B(Ctx.numAttributes());
   for (size_t O = 0; O < Ctx.numObjects(); ++O)
     B.addObject(Ctx.objectRow(O));
-  return B.build();
+  return ConceptLattice::fromConcepts(Ctx,
+                                      B.snapshotConcepts(Ctx.numObjects()));
 }
 
 LatticeBuildResult
@@ -203,10 +204,11 @@ GodinBuilder::buildLatticeBudgeted(const Context &Ctx,
   LatticeBuildResult R;
   R.NumEnumerated = B.numConcepts();
   // Even a completed insertion sequence defers to the truncated epilogue
-  // when the clock ran out: build()'s cover computation is quadratic in
-  // the concept count and must not start unbounded.
+  // when the clock ran out: cover computation over a possibly huge
+  // complete set must not start unbounded.
   if (!Stopped && !Meter.expired()) {
-    R.Lattice = B.build();
+    R.Lattice = ConceptLattice::fromConcepts(
+        Ctx, B.snapshotConcepts(Ctx.numObjects()));
     return R;
   }
   BuildStop Stop = Meter.expired() ? BuildStop::Time : BuildStop::ConceptCap;

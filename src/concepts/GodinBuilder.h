@@ -21,7 +21,7 @@
 ///    (A ∪ {x}, B ∩ f(x)) unless that intent is already present.
 ///
 /// The builder maintains only the concept set; cover edges are computed
-/// when build() assembles the ConceptLattice.
+/// when the ConceptLattice is assembled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +54,9 @@ public:
   size_t numObjects() const { return NumObjects; }
   size_t numConcepts() const { return Concepts.size(); }
 
-  /// Assembles the lattice (computes covers, top, bottom).
+  /// Assembles the lattice (computes covers, top, bottom). Without the
+  /// context the covers come from the pairwise scan; buildLattice counts
+  /// them instead.
   ConceptLattice build() const;
 
   /// The accumulated concepts, extents resized to \p ExtentUniverse

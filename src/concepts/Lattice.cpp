@@ -7,6 +7,7 @@
 
 #include "concepts/Lattice.h"
 
+#include "concepts/Covers.h"
 #include "support/AtomicFile.h"
 #include "support/BuildInfo.h"
 #include "support/Dot.h"
@@ -20,30 +21,38 @@
 
 using namespace cable;
 
+ConceptLattice ConceptLattice::fromConcepts(const Context &Ctx,
+                                            std::vector<Concept> Concepts,
+                                            ThreadPool *Pool) {
+  assert(!Concepts.empty() && "a concept lattice is never empty");
+  ConceptLattice L;
+  L.Concepts = std::move(Concepts);
+  CoverLists Covers = computeCovers(Ctx, L.Concepts, Pool);
+  L.Parents = std::move(Covers.Parents);
+  L.Children = std::move(Covers.Children);
+  L.locateTopAndBottom();
+  return L;
+}
+
 ConceptLattice ConceptLattice::fromConcepts(std::vector<Concept> Concepts) {
   assert(!Concepts.empty() && "a concept lattice is never empty");
   ConceptLattice L;
   L.Concepts = std::move(Concepts);
   L.Parents.assign(L.Concepts.size(), {});
   L.Children.assign(L.Concepts.size(), {});
-  L.computeCovers();
-  L.locateTopAndBottom();
-  return L;
-}
-
-ConceptLattice ConceptLattice::fromConceptsAndCovers(
-    std::vector<Concept> Concepts,
-    const std::vector<std::pair<NodeId, NodeId>> &Covers) {
-  assert(!Concepts.empty() && "a concept lattice is never empty");
-  ConceptLattice L;
-  L.Concepts = std::move(Concepts);
-  L.Parents.assign(L.Concepts.size(), {});
-  L.Children.assign(L.Concepts.size(), {});
-  for (const auto &[Parent, Child] : Covers) {
-    assert(Parent < L.Concepts.size() && Child < L.Concepts.size() &&
-           "cover edge out of range");
-    L.Parents[Child].push_back(Parent);
-    L.Children[Parent].push_back(Child);
+  // B covers A iff extent(A) < extent(B) and no C with
+  // extent(A) < extent(C) < extent(B).
+  size_t N = L.Concepts.size();
+  std::vector<size_t> Card(N);
+  for (size_t I = 0; I < N; ++I)
+    Card[I] = L.Concepts[I].Extent.count();
+  std::vector<NodeId> Order = coverScanOrder(Card);
+  for (size_t AI = 0; AI < N; ++AI) {
+    NodeId A = Order[AI];
+    for (NodeId B : coversAt(L.Concepts, Order, Card, AI)) {
+      L.Parents[A].push_back(B);
+      L.Children[B].push_back(A);
+    }
   }
   L.locateTopAndBottom();
   return L;
@@ -67,8 +76,8 @@ std::vector<ConceptLattice::NodeId>
 ConceptLattice::coverScanOrder(const std::vector<size_t> &Card) {
   std::vector<NodeId> Order(Card.size());
   std::iota(Order.begin(), Order.end(), 0);
-  // The id tie-break makes the order a total one, so serial and sharded
-  // cover computation see the same scan sequence.
+  // The id tie-break makes the order a total one, so every cover
+  // computation sorts its lists the same way.
   std::sort(Order.begin(), Order.end(), [&](NodeId A, NodeId B) {
     return Card[A] != Card[B] ? Card[A] < Card[B] : A < B;
   });
@@ -100,24 +109,6 @@ ConceptLattice::coversAt(const std::vector<Concept> &Concepts,
       Covers.push_back(B);
   }
   return Covers;
-}
-
-void ConceptLattice::computeCovers() {
-  // B covers A iff extent(A) < extent(B) and no C with
-  // extent(A) < extent(C) < extent(B).
-  size_t N = Concepts.size();
-  std::vector<size_t> Card(N);
-  for (size_t I = 0; I < N; ++I)
-    Card[I] = Concepts[I].Extent.count();
-  std::vector<NodeId> Order = coverScanOrder(Card);
-
-  for (size_t AI = 0; AI < N; ++AI) {
-    NodeId A = Order[AI];
-    for (NodeId B : coversAt(Concepts, Order, Card, AI)) {
-      Parents[A].push_back(B);
-      Children[B].push_back(A);
-    }
-  }
 }
 
 size_t ConceptLattice::numEdges() const {

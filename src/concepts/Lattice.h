@@ -62,6 +62,8 @@ struct Concept {
   BitVector Intent;
 };
 
+class ThreadPool;
+
 /// The complete lattice of concepts of a context.
 ///
 /// Node ids index an internal vector and are stable for the lifetime of the
@@ -72,17 +74,18 @@ class ConceptLattice {
 public:
   using NodeId = uint32_t;
 
-  /// Builds from a complete set of concepts (covers are computed here).
-  /// \p Concepts must be exactly the concepts of some context, including
-  /// top and bottom.
-  static ConceptLattice fromConcepts(std::vector<Concept> Concepts);
+  /// Builds from exactly the concepts of \p Ctx, top and bottom included:
+  /// the path every complete build takes. Covers come from
+  /// computeCovers (concepts/Covers.h), counted on \p Pool when given.
+  static ConceptLattice fromConcepts(const Context &Ctx,
+                                     std::vector<Concept> Concepts,
+                                     ThreadPool *Pool = nullptr);
 
-  /// Builds from concepts plus an externally computed cover relation
-  /// (pairs are (parent, child) node indices into \p Concepts). Used by
-  /// constructions that produce the Hasse diagram natively (Lindig).
-  static ConceptLattice
-  fromConceptsAndCovers(std::vector<Concept> Concepts,
-                        const std::vector<std::pair<NodeId, NodeId>> &Covers);
+  /// Builds from concepts that need not be closed under closure (a
+  /// truncated subset, or a concept set without its context), with covers
+  /// from the pairwise coversAt scan. \p Concepts must contain a unique
+  /// maximal and a unique minimal extent.
+  static ConceptLattice fromConcepts(std::vector<Concept> Concepts);
 
   size_t size() const { return Concepts.size(); }
   const Concept &node(NodeId Id) const { return Concepts[Id]; }
@@ -126,17 +129,17 @@ public:
   /// each of its children).
   std::vector<NodeId> topDownOrder() const;
 
-  /// The canonical scan order cover computation uses: ascending extent
+  /// The canonical order of every adjacency list: ascending extent
   /// cardinality, ties broken by node id. \p Card[i] must be the extent
-  /// cardinality of concept i. Exposed so batch builders that compute the
-  /// cover relation themselves (in parallel) reproduce fromConcepts
-  /// bit-for-bit.
+  /// cardinality of concept i. Both cover algorithms sort into it, so they
+  /// give byte-identical lattices.
   static std::vector<NodeId> coverScanOrder(const std::vector<size_t> &Card);
 
   /// Upper covers of the concept at scan position \p AI: the minimal
   /// strict superset extents among later scan positions, in scan order.
-  /// Pure function of its arguments, safe to call concurrently for
-  /// different positions.
+  /// O(C) subset tests per concept: the cover algorithm of the
+  /// context-free fromConcepts, and the oracle computeCovers is tested
+  /// against.
   static std::vector<NodeId> coversAt(const std::vector<Concept> &Concepts,
                                       const std::vector<NodeId> &Order,
                                       const std::vector<size_t> &Card,
@@ -185,7 +188,6 @@ private:
   NodeId Top = 0;
   NodeId Bottom = 0;
 
-  void computeCovers();
   void locateTopAndBottom();
 };
 

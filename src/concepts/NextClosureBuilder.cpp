@@ -99,7 +99,7 @@ ConceptLattice NextClosureBuilder::buildLattice(const Context &Ctx) {
     C.Intent = std::move(Intent);
     Concepts.push_back(std::move(C));
   }
-  return ConceptLattice::fromConcepts(std::move(Concepts));
+  return ConceptLattice::fromConcepts(Ctx, std::move(Concepts));
 }
 
 std::vector<BitVector>
@@ -202,8 +202,8 @@ NextClosureBuilder::buildLatticeBudgeted(const Context &Ctx,
     BuildStop Stop;
     std::vector<BitVector> Intents =
         allClosedIntentsBudgeted(Ctx, Meter, Stop);
-    // If the deadline hit right as enumeration finished, do not start the
-    // quadratic cover computation over a possibly huge complete set.
+    // If the deadline hit right as enumeration finished, do not start
+    // extents and covers over a possibly huge complete set.
     if (Stop == BuildStop::Complete && Meter.expired())
       Stop = BuildStop::Time;
     if (Stop != BuildStop::Complete) {
@@ -222,7 +222,7 @@ NextClosureBuilder::buildLatticeBudgeted(const Context &Ctx,
       C.Intent = std::move(Intent);
       Concepts.push_back(std::move(C));
     }
-    R.Lattice = ConceptLattice::fromConcepts(std::move(Concepts));
+    R.Lattice = ConceptLattice::fromConcepts(Ctx, std::move(Concepts));
     return R;
   } catch (const std::bad_alloc &) {
     // Last-resort boundary: extent or cover computation ran out of memory

@@ -170,14 +170,9 @@ std::vector<BitVector> ParallelBuilder::allClosedIntents(const Context &Ctx,
 ConceptLattice ParallelBuilder::assembleLattice(const Context &Ctx,
                                                 ThreadPool &Pool,
                                                 std::vector<BitVector> Intents) {
-  using NodeId = ConceptLattice::NodeId;
-
-  TraceSpan Span("lattice-covers",
-                 static_cast<int64_t>(Intents.size()));
-  size_t N = Intents.size();
-
   // Extents shard trivially: every concept is written by exactly one
   // worker, at an index fixed by the canonical enumeration order.
+  size_t N = Intents.size();
   std::vector<Concept> Concepts(N);
   Pool.parallelFor(N, [&](size_t Begin, size_t End) {
     for (size_t I = Begin; I < End; ++I) {
@@ -185,33 +180,9 @@ ConceptLattice ParallelBuilder::assembleLattice(const Context &Ctx,
       Concepts[I].Intent = std::move(Intents[I]);
     }
   });
-
-  // Cover relation: same canonical scan order as fromConcepts, the
-  // per-concept scans sharded across workers (each is a pure function of
-  // the read-only concept vector).
-  std::vector<size_t> Card(N);
-  Pool.parallelFor(N, [&](size_t Begin, size_t End) {
-    for (size_t I = Begin; I < End; ++I)
-      Card[I] = Concepts[I].Extent.count();
-  });
-  std::vector<NodeId> Order = ConceptLattice::coverScanOrder(Card);
-  std::vector<std::vector<NodeId>> CoversOf(N);
-  Pool.parallelFor(N, [&](size_t Begin, size_t End) {
-    for (size_t AI = Begin; AI < End; ++AI)
-      CoversOf[AI] = ConceptLattice::coversAt(Concepts, Order, Card, AI);
-  });
-
-  // Emit edges in the serial path's insertion order so the per-node
-  // parent/child lists come out identical.
-  std::vector<std::pair<NodeId, NodeId>> Edges;
-  size_t NumEdges = 0;
-  for (const std::vector<NodeId> &C : CoversOf)
-    NumEdges += C.size();
-  Edges.reserve(NumEdges);
-  for (size_t AI = 0; AI < N; ++AI)
-    for (NodeId B : CoversOf[AI])
-      Edges.emplace_back(B, Order[AI]);
-  return ConceptLattice::fromConceptsAndCovers(std::move(Concepts), Edges);
+  // Covers are counted per concept across the same workers; the lists
+  // come out in canonical scan order whatever the thread count.
+  return ConceptLattice::fromConcepts(Ctx, std::move(Concepts), &Pool);
 }
 
 ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,

@@ -11,12 +11,13 @@
 /// minimum attribute p form one contiguous lectic range ("block") per p,
 /// each enumerable independently with a prefix-restricted NextClosure, so
 /// workers never synchronize during enumeration. Extents and the cover
-/// (Hasse) relation are then computed by sharding concepts across workers.
+/// (Hasse) relation are then computed by sharding concepts across workers;
+/// covers are counted per concept (computeCovers), not scanned pairwise.
 ///
 /// The output is bit-for-bit identical to NextClosureBuilder::buildLattice
 /// at every thread count: node ids are assigned in canonical lectic order
-/// and the cover relation is emitted in the same canonical scan order
-/// ConceptLattice::fromConcepts uses (see docs/ALGORITHMS.md, "Parallel
+/// and every adjacency list is sorted into the canonical scan order
+/// ConceptLattice::coverScanOrder (see docs/ALGORITHMS.md, "Parallel
 /// construction").
 ///
 //===----------------------------------------------------------------------===//
@@ -90,8 +91,8 @@ public:
 
   /// Shared tail of every complete-construction path: computes extents and
   /// the cover relation for \p Intents (which must be a complete lectic
-  /// enumeration of \p Ctx's closed intents) sharded across \p Pool in the
-  /// canonical scan order. Exposed so out-of-process construction
+  /// enumeration of \p Ctx's closed intents), both sharded per concept
+  /// across \p Pool. Exposed so out-of-process construction
   /// (ShardedBuilder) can assemble the identical lattice from merged
   /// worker shards.
   static ConceptLattice assembleLattice(const Context &Ctx, ThreadPool &Pool,

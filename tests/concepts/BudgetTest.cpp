@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Budget-exhaustion suite for all four lattice builders. The adversarial
+// Budget-exhaustion suite for every lattice builder. The adversarial
 // input is the contranominal context of dimension N (object i related to
 // every attribute but i), whose lattice is the full powerset: 2^N
 // concepts. At N=24 that is ~16.7M concepts — unbuildable within a 100 ms
@@ -22,7 +22,6 @@
 
 #include "concepts/BuildResult.h"
 #include "concepts/GodinBuilder.h"
-#include "concepts/LindigBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 #include "concepts/ParallelBuilder.h"
 
@@ -129,10 +128,6 @@ std::vector<NamedBuilder> allBudgetedBuilders() {
       {"Godin",
        [](const Context &Ctx, const BudgetMeter &M) {
          return GodinBuilder::buildLatticeBudgeted(Ctx, M);
-       }},
-      {"Lindig",
-       [](const Context &Ctx, const BudgetMeter &M) {
-         return LindigBuilder::buildLatticeBudgeted(Ctx, M);
        }},
       {"Parallel/1",
        [](const Context &Ctx, const BudgetMeter &M) {

@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "concepts/GodinBuilder.h"
-#include "concepts/LindigBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 
 #include "support/RNG.h"
@@ -134,9 +133,8 @@ coverSet(const ConceptLattice &L) {
 }
 
 /// The central cross-validation: Godin (incremental, the paper's
-/// algorithm), NextClosure (lectic batch), Lindig (neighbor-based, with
-/// native cover edges), and brute force must all agree on random
-/// contexts, and every lattice must verify.
+/// algorithm), NextClosure (lectic batch), and brute force must all agree
+/// on random contexts, and every lattice must verify.
 class BuilderAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BuilderAgreementTest, AllBuildersAgreeWithBruteForce) {
@@ -144,22 +142,24 @@ TEST_P(BuilderAgreementTest, AllBuildersAgreeWithBruteForce) {
   Context Ctx = randomContext(Rand, 9, 8, 0.35);
   ConceptLattice G = GodinBuilder::buildLattice(Ctx);
   ConceptLattice N = NextClosureBuilder::buildLattice(Ctx);
-  ConceptLattice Li = LindigBuilder::buildLattice(Ctx);
 
   EXPECT_EQ(conceptSet(G), conceptSet(N));
-  EXPECT_EQ(conceptSet(G), conceptSet(Li));
   EXPECT_EQ(conceptSet(G), bruteForceConcepts(Ctx));
 
   std::string Why;
   EXPECT_TRUE(G.verify(Ctx, &Why)) << "Godin: " << Why;
   EXPECT_TRUE(N.verify(Ctx, &Why)) << "NextClosure: " << Why;
-  EXPECT_TRUE(Li.verify(Ctx, &Why)) << "Lindig: " << Why;
 
-  // Same cover structure: Lindig's native edges must equal the
-  // transitive-reduction edges the other builders compute afterwards.
-  EXPECT_EQ(coverSet(G), coverSet(Li));
+  // Same cover structure: the counted edges must equal the pairwise
+  // transitive-reduction scan over the same concepts.
+  std::vector<Concept> Concepts;
+  for (ConceptLattice::NodeId Id = 0; Id < N.size(); ++Id)
+    Concepts.push_back(N.node(Id));
+  ConceptLattice Scanned = ConceptLattice::fromConcepts(Concepts);
+  EXPECT_EQ(coverSet(N), coverSet(Scanned));
+  EXPECT_EQ(coverSet(G), coverSet(N));
   EXPECT_EQ(G.numEdges(), N.numEdges());
-  EXPECT_EQ(G.height(), Li.height());
+  EXPECT_EQ(G.height(), Scanned.height());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuilderAgreementTest,

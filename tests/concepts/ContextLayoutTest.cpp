@@ -9,13 +9,12 @@
 // degenerate contexts, the fused sigma/tau (packed row/column arenas +
 // andSelectInto) must agree bit-for-bit with the retained pre-arena
 // reference implementations, at every kernel dispatch level; and entire
-// lattices built by all four builders must be identical between the new
+// lattices built by all three builders must be identical between the new
 // and legacy derivation paths.
 //
 //===----------------------------------------------------------------------===//
 
 #include "concepts/GodinBuilder.h"
-#include "concepts/LindigBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 #include "concepts/ParallelBuilder.h"
 
@@ -120,19 +119,16 @@ void expectIdenticalLattices(const ConceptLattice &A, const ConceptLattice &B,
   }
 }
 
-/// Builds with all four builders on the arena path and again on the
+/// Builds with all three builders on the arena path and again on the
 /// legacy reference path; every pair must be identical.
 void expectBuildersIdenticalAcrossPaths(Context Ctx, const char *What) {
   ConceptLattice NewG = GodinBuilder::buildLattice(Ctx);
-  ConceptLattice NewL = LindigBuilder::buildLattice(Ctx);
   ConceptLattice NewN = NextClosureBuilder::buildLattice(Ctx);
   ConceptLattice NewP = ParallelBuilder::buildLattice(Ctx, /*NumThreads=*/4);
 
   Ctx.setUseReferencePaths(true);
   expectIdenticalLattices(NewG, GodinBuilder::buildLattice(Ctx),
                           std::string(What) + " godin");
-  expectIdenticalLattices(NewL, LindigBuilder::buildLattice(Ctx),
-                          std::string(What) + " lindig");
   expectIdenticalLattices(NewN, NextClosureBuilder::buildLattice(Ctx),
                           std::string(What) + " next-closure");
   expectIdenticalLattices(NewP, ParallelBuilder::buildLattice(Ctx, 4),
