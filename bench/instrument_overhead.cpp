@@ -17,23 +17,14 @@
 // within 2%, turning "the disarmed path is free" from a comment into a
 // regression test.
 //
-// A second probe prices *armed* telemetry on the multi-process path: the
-// same context built via ShardedBuilder with telemetry off and then with
-// metrics + trace rings armed in every process (worker deltas and spans
-// crossing the wire and merging in the supervisor).
-// tests/bench/telemetry_guard.sh bounds that one-sided.
-//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
 #include "concepts/NextClosureBuilder.h"
-#include "concepts/ParallelBuilder.h"
-#include "concepts/ShardedBuilder.h"
 #include "support/Log.h"
 #include "support/Metrics.h"
 #include "support/RNG.h"
-#include "support/TraceEvent.h"
 
 #include <algorithm>
 #include <chrono>
@@ -62,17 +53,6 @@ double buildOnceMs(const Context &Ctx) {
                   std::chrono::steady_clock::now() - Start)
                   .count();
   // Keep the build observable so the whole loop cannot be elided.
-  return L.size() > 0 ? Ms : -1;
-}
-
-double buildShardedOnceMs(const Context &Ctx, unsigned Workers) {
-  ShardOptions Opts;
-  Opts.NumWorkers = Workers;
-  auto Start = std::chrono::steady_clock::now();
-  ConceptLattice L = ShardedBuilder::buildLattice(Ctx, Opts);
-  double Ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
   return L.size() > 0 ? Ms : -1;
 }
 
@@ -107,8 +87,8 @@ int main() {
     Armed.push_back(buildOnceMs(Ctx));
 
   // Armed-but-quiet logging: --log-out arms the Log gate for the whole
-  // process, but log events mark rare conditions (cache faults, worker
-  // crashes, torn journals) — the closure hot loop emits nothing. The
+  // process, but log events mark rare conditions (cache faults, torn
+  // journals) — the closure hot loop emits nothing. The
   // only admissible cost is the relaxed load at whatever CABLE_LOG sites
   // the build passes, so this phase must clock in at disarmed speed.
   Metrics::setEnabled(false);
@@ -131,36 +111,6 @@ int main() {
           ? (LogArmedMedian - DisarmedMedian) / DisarmedMedian * 100.0
           : 0;
 
-  // The sharded probe: the same context built through the multi-process
-  // path, first with telemetry disarmed (workers compute, no flush
-  // payloads beyond the empty frames) and then fully armed (metrics +
-  // trace rings on in every process, deltas and spans crossing the wire
-  // and merging in the supervisor). The delta prices the whole telemetry
-  // harvest — encode, frame, decode, merge — against a build that
-  // already pays fork/IPC costs, which is the honest denominator.
-  Metrics::setEnabled(false);
-  TraceLog::setEnabled(false);
-  buildShardedOnceMs(Ctx, /*Workers=*/4); // warm-up: first fork set
-  std::vector<double> ShardedDisarmed;
-  for (int I = 0; I < Samples; ++I)
-    ShardedDisarmed.push_back(buildShardedOnceMs(Ctx, 4));
-
-  Metrics::setEnabled(true);
-  TraceLog::setEnabled(true);
-  std::vector<double> ShardedArmed;
-  for (int I = 0; I < Samples; ++I)
-    ShardedArmed.push_back(buildShardedOnceMs(Ctx, 4));
-  TraceLog::setEnabled(false);
-  TraceLog::reset(); // drop the harvested worker spans; bench never exports
-
-  double ShardedDisarmedMedian = medianOf(ShardedDisarmed);
-  double ShardedArmedMedian = medianOf(ShardedArmed);
-  double ShardedOverheadPct =
-      ShardedDisarmedMedian > 0
-          ? (ShardedArmedMedian - ShardedDisarmedMedian) /
-                ShardedDisarmedMedian * 100.0
-          : 0;
-
   // Greppable lines for the overhead-guard script; min-of-N is the
   // noise-robust statistic for same-machine comparisons.
   std::printf("instrument_overhead: next-closure 512 objects, %d samples\n",
@@ -173,11 +123,6 @@ int main() {
   std::printf("log_armed_min_ms %.4f\n", minOf(LogArmed));
   std::printf("log_armed_median_ms %.4f\n", LogArmedMedian);
   std::printf("log_armed_overhead_pct %.2f\n", LogOverheadPct);
-  std::printf("sharded_disarmed_min_ms %.4f\n", minOf(ShardedDisarmed));
-  std::printf("sharded_disarmed_median_ms %.4f\n", ShardedDisarmedMedian);
-  std::printf("sharded_armed_min_ms %.4f\n", minOf(ShardedArmed));
-  std::printf("sharded_armed_median_ms %.4f\n", ShardedArmedMedian);
-  std::printf("sharded_telemetry_overhead_pct %.2f\n", ShardedOverheadPct);
 
   BenchReport Report("instrument_overhead");
   for (double Ms : Disarmed)
@@ -186,13 +131,8 @@ int main() {
     Report.sample("next-closure-armed", Ms);
   for (double Ms : LogArmed)
     Report.sample("next-closure-log-armed", Ms);
-  for (double Ms : ShardedDisarmed)
-    Report.sample("sharded-disarmed", Ms);
-  for (double Ms : ShardedArmed)
-    Report.sample("sharded-armed-telemetry", Ms);
   Report.counter("armed_overhead_pct", OverheadPct);
   Report.counter("log_armed_overhead_pct", LogOverheadPct);
-  Report.counter("sharded_telemetry_overhead_pct", ShardedOverheadPct);
   Report.write();
   return 0;
 }

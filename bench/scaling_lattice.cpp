@@ -21,7 +21,6 @@
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 #include "concepts/ParallelBuilder.h"
-#include "concepts/ShardedBuilder.h"
 #include "fa/Templates.h"
 #include "support/RNG.h"
 #include "cable/Session.h"
@@ -203,61 +202,6 @@ void BM_ParallelVsThreads(benchmark::State &State) {
                          benchmark::Counter::kIsRate);
   State.counters["speedup_vs_serial"] =
       ParallelSecs > 0 ? SerialSecs / ParallelSecs : 0;
-  State.counters["identical"] = Identical ? 1 : 0;
-}
-
-/// Bit-for-bit lattice equality (the sharded/parallel determinism
-/// contract, as a bench counter rather than an EXPECT).
-bool latticesIdentical(const ConceptLattice &A, const ConceptLattice &B) {
-  bool Same = A.size() == B.size() && A.top() == B.top() &&
-              A.bottom() == B.bottom() && A.numEdges() == B.numEdges();
-  for (ConceptLattice::NodeId Id = 0; Same && Id < A.size(); ++Id)
-    Same = A.node(Id).Extent == B.node(Id).Extent &&
-           A.node(Id).Intent == B.node(Id).Intent &&
-           A.parents(Id) == B.parents(Id) && A.children(Id) == B.children(Id);
-  return Same;
-}
-
-/// The multi-process builder at 1/2/4/8 worker processes on the sweep
-/// context: what crash isolation costs over the in-process parallel path
-/// (fork + wire serialization + supervised merge).
-void BM_ShardedVsWorkers(benchmark::State &State) {
-  unsigned NumWorkers = static_cast<unsigned>(State.range(0));
-  Context Ctx = randomContext(/*NumObjects=*/512, /*K=*/6, /*PoolSize=*/24, 42);
-
-  auto SerialStart = std::chrono::steady_clock::now();
-  ConceptLattice Serial = NextClosureBuilder::buildLattice(Ctx);
-  double SerialSecs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    SerialStart)
-          .count();
-
-  ShardOptions Opts;
-  Opts.NumWorkers = NumWorkers;
-  Opts.NumThreads = 4;
-  size_t Concepts = 0;
-  auto ShardedStart = std::chrono::steady_clock::now();
-  for (auto _ : State) {
-    ConceptLattice L = ShardedBuilder::buildLattice(Ctx, Opts);
-    Concepts = L.size();
-    benchmark::DoNotOptimize(L);
-  }
-  double ShardedSecs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    ShardedStart)
-          .count() /
-      static_cast<double>(State.iterations());
-
-  bool Identical =
-      latticesIdentical(Serial, ShardedBuilder::buildLattice(Ctx, Opts));
-
-  State.counters["workers"] = static_cast<double>(NumWorkers);
-  State.counters["concepts"] = static_cast<double>(Concepts);
-  State.counters["lattices_per_s"] =
-      benchmark::Counter(static_cast<double>(State.iterations()),
-                         benchmark::Counter::kIsRate);
-  State.counters["speedup_vs_serial"] =
-      ShardedSecs > 0 ? SerialSecs / ShardedSecs : 0;
   State.counters["identical"] = Identical ? 1 : 0;
 }
 
@@ -491,13 +435,6 @@ BENCHMARK(BM_ParallelVsThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
-BENCHMARK(BM_ShardedVsWorkers)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
 BENCHMARK(BM_ExecutedTransitions)->MinTime(0.05);
 
 // Custom main instead of BENCHMARK_MAIN(): always emit the BENCH JSON
@@ -529,42 +466,6 @@ int main(int Argc, char **Argv) {
       });
     }
     Report.counter("concepts", static_cast<double>(Concepts));
-  }
-
-  // Sharded (multi-process) section: crash-isolated construction at
-  // 1/2/4/8 worker processes on the same sweep context. Emitted in quick
-  // mode too, so the bench-quick CI job records the fork + wire + merge
-  // overhead and the identical flag on every run.
-  {
-    Context Ctx = randomContext(/*NumObjects=*/512, /*K=*/6, /*PoolSize=*/24,
-                                42);
-    int Samples = cable::bench::BenchReport::quick() ? 3 : 7;
-    std::vector<double> SerialMs;
-    ConceptLattice Serial;
-    for (int I = 0; I < Samples; ++I)
-      SerialMs.push_back(Report.timeSample("sharded-serial-512", [&] {
-        Serial = NextClosureBuilder::buildLattice(Ctx);
-        benchmark::DoNotOptimize(Serial);
-      }));
-    double SerialMed = median(SerialMs);
-    bool Identical = true;
-    for (unsigned W : {1u, 2u, 4u, 8u}) {
-      ShardOptions Opts;
-      Opts.NumWorkers = W;
-      Opts.NumThreads = 4;
-      std::vector<double> Ms;
-      for (int I = 0; I < Samples; ++I)
-        Ms.push_back(
-            Report.timeSample("sharded" + std::to_string(W) + "-512", [&] {
-              ConceptLattice L = ShardedBuilder::buildLattice(Ctx, Opts);
-              Identical = Identical && latticesIdentical(Serial, L);
-              benchmark::DoNotOptimize(L);
-            }));
-      double Med = median(Ms);
-      Report.counter("sharded_speedup_w" + std::to_string(W),
-                     Med > 0 ? SerialMed / Med : 0);
-    }
-    Report.counter("sharded_identical", Identical ? 1 : 0);
   }
 
   // Cover computation: neighbour counting against the pairwise scan, for

@@ -9,7 +9,6 @@
 
 #include "concepts/BuildResult.h"
 #include "concepts/ParallelBuilder.h"
-#include "concepts/ShardedBuilder.h"
 #include "support/ArtifactStore.h"
 #include "support/Dot.h"
 #include "support/Failpoint.h"
@@ -27,10 +26,10 @@ using namespace cable;
 
 namespace {
 
-/// The builder-family half of the cache key. All batch paths (serial
-/// NextClosure, ParallelBuilder, ShardedBuilder) enumerate the same
-/// canonical lectic order and are bit-for-bit interchangeable, so they
-/// share one id and one artifact.
+/// The builder-family half of the cache key. Both batch paths (serial
+/// NextClosure and ParallelBuilder) enumerate the same canonical lectic
+/// order and are bit-for-bit interchangeable, so they share one id and
+/// one artifact.
 constexpr const char *kLatticeBuilderId = "nextclosure";
 
 /// The budget half of the cache key. Only deterministic caps participate:
@@ -187,23 +186,7 @@ Status Session::init(const SessionOptions &Options) {
   {
     TraceSpan BuildSpan("lattice-build",
                         static_cast<int64_t>(Ctx.numObjects()));
-    if (Options.ShardWorkers > 0) {
-      // Multi-process path: crash-isolated shard workers under a
-      // supervisor; identical lattice, with clean degradation back to the
-      // in-process builder on fork failure or retry exhaustion.
-      ShardOptions SOpts;
-      SOpts.NumWorkers = Options.ShardWorkers;
-      SOpts.ShardTimeout = Options.ShardTimeout;
-      SOpts.MaxRetries = Options.ShardRetries;
-      SOpts.NumThreads = NumThreads;
-      // Counted even when the build degrades in-process: the session
-      // asked for sharding, and run reports distinguish asked-for from
-      // achieved via the shard.degraded-builds counter.
-      Metrics::counter("session.sharded-builds").add();
-      R = ShardedBuilder::buildLatticeBudgeted(Ctx, Meter, SOpts);
-    } else {
-      R = ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, NumThreads);
-    }
+    R = ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, NumThreads);
   }
   Metrics::counter("session.builds").add();
   if (R.Truncated) {

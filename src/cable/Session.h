@@ -81,29 +81,13 @@ struct SessionOptions {
   /// clustering remains usable; false makes build() fail outright.
   bool KeepGoing = false;
 
-  /// Shard-worker processes for lattice construction (0 = in-process).
-  /// When set, construction runs under ShardedBuilder's crash-containing
-  /// supervisor; the lattice is bit-for-bit identical either way, and the
-  /// build degrades in-process if forking is unavailable or the retry
-  /// budget is exhausted. Focus sub-sessions always build in-process
-  /// (their contexts are small by construction).
-  unsigned ShardWorkers = 0;
-
-  /// Per-shard deadline before a worker is declared wedged and its block
-  /// reassigned (ShardedBuilder's ShardOptions::ShardTimeout).
-  std::chrono::milliseconds ShardTimeout{30000};
-
-  /// Retries per block beyond the first attempt before it is computed
-  /// inline in the supervisor.
-  unsigned ShardRetries = 3;
-
   /// Directory of the content-addressed lattice artifact store; "" (the
   /// default) disables caching. The key is context hash x builder x
-  /// budget fingerprint — deliberately independent of thread count,
-  /// shard-worker count, and simd kernel level, all of which produce
-  /// bit-identical lattices. Every cache failure (corrupt artifact, I/O
-  /// error, lock timeout) degrades to a normal build and is reported via
-  /// cacheDiagnostics(); a poisoned cache costs time, never correctness.
+  /// budget fingerprint — deliberately independent of thread count and
+  /// simd kernel level, both of which produce bit-identical lattices.
+  /// Every cache failure (corrupt artifact, I/O error, lock timeout)
+  /// degrades to a normal build and is reported via cacheDiagnostics();
+  /// a poisoned cache costs time, never correctness.
   /// Builds under a wall-clock budget bypass the cache entirely: deadline
   /// truncation is timing-dependent, so the result is not a pure function
   /// of the key.

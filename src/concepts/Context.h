@@ -139,7 +139,7 @@ public:
   /// little-endian byte order). This is the content-addressing key of the
   /// lattice artifact store, so it is computed with a plain scalar loop —
   /// never a SIMD kernel — and is byte-identical regardless of the
-  /// CABLE_KERNEL dispatch level, thread count, or shard-worker count.
+  /// CABLE_KERNEL dispatch level or thread count.
   /// Arena tail bits past numAttributes() are always zero (only relate()
   /// writes them), so the digest is a pure function of the relation.
   std::string contentHash() const;

@@ -39,8 +39,8 @@ struct LatticeArtifactMeta {
   /// Context::contentHash() of the source context (16 hex digits).
   std::string ContextHash;
   /// Builder family id, e.g. "nextclosure". Names the canonical concept
-  /// order, not the execution engine: serial, parallel, and sharded
-  /// builds all produce this same artifact byte-for-byte.
+  /// order, not the execution engine: serial and parallel builds both
+  /// produce this same artifact byte-for-byte.
   std::string Builder;
   /// Budget fingerprint, e.g. "full" or "mc500" (see Session).
   std::string Budget;

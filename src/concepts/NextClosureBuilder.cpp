@@ -176,8 +176,8 @@ NextClosureBuilder::allClosedIntentsBudgeted(const Context &Ctx,
   }
   } catch (const std::bad_alloc &) {
     // Containment: an allocation failure becomes a Memory stop keeping the
-    // lectic prefix enumerated so far, so an OOMing build (or shard
-    // worker) reports a truncated result instead of terminating.
+    // lectic prefix enumerated so far, so an OOMing build reports a
+    // truncated result instead of terminating.
     Stop = BuildStop::Memory;
     OomContained.add();
   }
@@ -227,7 +227,7 @@ NextClosureBuilder::buildLatticeBudgeted(const Context &Ctx,
   } catch (const std::bad_alloc &) {
     // Last-resort boundary: extent or cover computation ran out of memory
     // after a (possibly complete) enumeration. The intents are gone, but
-    // the process — and a shard worker's ability to report — survives.
+    // the process survives.
     OomContained.add();
     LatticeBuildResult R;
     R.Truncated = true;

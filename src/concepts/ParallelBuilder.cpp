@@ -72,7 +72,7 @@ std::vector<BitVector> ParallelBuilder::blockIntents(const Context &Ctx,
     // ways), so the probe is free — and must not be counted: the serial
     // enumerator reaches this block by successor steps from closure(∅)
     // without ever computing closure({p}), and lattice.closures is kept
-    // schedule-invariant (serial == parallel == sharded).
+    // schedule-invariant (serial == parallel).
     A = TopIntent;
   } else {
     B.set(P);
@@ -167,10 +167,15 @@ std::vector<BitVector> ParallelBuilder::allClosedIntents(const Context &Ctx,
   return Out;
 }
 
-ConceptLattice ParallelBuilder::assembleLattice(const Context &Ctx,
-                                                ThreadPool &Pool,
-                                                std::vector<BitVector> Intents) {
-  // Extents shard trivially: every concept is written by exactly one
+namespace {
+
+/// Shared tail of every complete-construction path: computes extents and
+/// the cover relation for \p Intents (which must be a complete lectic
+/// enumeration of \p Ctx's closed intents), both split per concept
+/// across \p Pool.
+ConceptLattice assembleLattice(const Context &Ctx, ThreadPool &Pool,
+                               std::vector<BitVector> Intents) {
+  // Extents split trivially: every concept is written by exactly one
   // worker, at an index fixed by the canonical enumeration order.
   size_t N = Intents.size();
   std::vector<Concept> Concepts(N);
@@ -184,6 +189,8 @@ ConceptLattice ParallelBuilder::assembleLattice(const Context &Ctx,
   // come out in canonical scan order whatever the thread count.
   return ConceptLattice::fromConcepts(Ctx, std::move(Concepts), &Pool);
 }
+
+} // namespace
 
 ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,
                                              ThreadPool &Pool) {
@@ -199,11 +206,15 @@ ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,
   return buildLattice(Ctx, Pool);
 }
 
-std::vector<BitVector>
-ParallelBuilder::blockIntentsBudgeted(const Context &Ctx, size_t P,
-                                      const BitVector &TopIntent,
-                                      const BudgetMeter &Meter,
-                                      BuildStop &Stop) {
+namespace {
+
+/// Budgeted blockIntents: checks \p Meter before every candidate closure
+/// and stops after Budget::MaxConcepts intents *within this block*. The
+/// result is always a lectic prefix of the block.
+std::vector<BitVector> blockIntentsBudgeted(const Context &Ctx, size_t P,
+                                            const BitVector &TopIntent,
+                                            const BudgetMeter &Meter,
+                                            BuildStop &Stop) {
   TraceSpan Span("lattice-block", static_cast<int64_t>(P));
   size_t M = Ctx.numAttributes();
   size_t Max = Meter.budget().MaxConcepts.value_or(SIZE_MAX);
@@ -294,11 +305,13 @@ ParallelBuilder::blockIntentsBudgeted(const Context &Ctx, size_t P,
   return Out;
 }
 
-std::vector<BitVector>
-ParallelBuilder::allClosedIntentsBudgeted(const Context &Ctx,
-                                          ThreadPool &Pool,
-                                          const BudgetMeter &Meter,
-                                          BuildStop &Stop) {
+/// Budgeted allClosedIntents: always returns a (possibly complete) prefix
+/// of the full lectic enumeration; \p Stop reports whether and why it is
+/// proper.
+std::vector<BitVector> allClosedIntentsBudgeted(const Context &Ctx,
+                                                ThreadPool &Pool,
+                                                const BudgetMeter &Meter,
+                                                BuildStop &Stop) {
   TraceSpan Span("lattice-enumerate");
   size_t M = Ctx.numAttributes();
   size_t Max = Meter.budget().MaxConcepts.value_or(SIZE_MAX);
@@ -342,6 +355,8 @@ ParallelBuilder::allClosedIntentsBudgeted(const Context &Ctx,
   NumConcepts.add(Out.size());
   return Out;
 }
+
+} // namespace
 
 LatticeBuildResult
 ParallelBuilder::buildLatticeBudgeted(const Context &Ctx,

@@ -11,7 +11,7 @@
 /// minimum attribute p form one contiguous lectic range ("block") per p,
 /// each enumerable independently with a prefix-restricted NextClosure, so
 /// workers never synchronize during enumeration. Extents and the cover
-/// (Hasse) relation are then computed by sharding concepts across workers;
+/// (Hasse) relation are then computed by splitting concepts across workers;
 /// covers are counted per concept (computeCovers), not scanned pairwise.
 ///
 /// The output is bit-for-bit identical to NextClosureBuilder::buildLattice
@@ -73,30 +73,6 @@ public:
   static LatticeBuildResult buildLatticeBudgeted(const Context &Ctx,
                                                  const BudgetMeter &Meter,
                                                  ThreadPool &Pool);
-
-  /// Budgeted blockIntents: checks \p Meter before every candidate
-  /// closure and stops after Budget::MaxConcepts intents *within this
-  /// block*. The result is always a lectic prefix of the block.
-  static std::vector<BitVector>
-  blockIntentsBudgeted(const Context &Ctx, size_t P,
-                       const BitVector &TopIntent, const BudgetMeter &Meter,
-                       BuildStop &Stop);
-
-  /// Budgeted allClosedIntents: always returns a (possibly complete)
-  /// prefix of the full lectic enumeration; \p Stop reports whether and
-  /// why it is proper.
-  static std::vector<BitVector>
-  allClosedIntentsBudgeted(const Context &Ctx, ThreadPool &Pool,
-                           const BudgetMeter &Meter, BuildStop &Stop);
-
-  /// Shared tail of every complete-construction path: computes extents and
-  /// the cover relation for \p Intents (which must be a complete lectic
-  /// enumeration of \p Ctx's closed intents), both sharded per concept
-  /// across \p Pool. Exposed so out-of-process construction
-  /// (ShardedBuilder) can assemble the identical lattice from merged
-  /// worker shards.
-  static ConceptLattice assembleLattice(const Context &Ctx, ThreadPool &Pool,
-                                        std::vector<BitVector> Intents);
 };
 
 } // namespace cable

@@ -52,7 +52,6 @@ namespace {
 constexpr size_t kMaxPath = 1024;
 constexpr size_t kMaxMetrics = 4096;
 
-char GDir[kMaxPath];
 char GDumpPath[kMaxPath + 64];
 char GStamp[512]; ///< `"tool":...,"version":...,"instrumented":...` fragment
 int GFd = -1;
@@ -67,6 +66,9 @@ char GReportOut[kMaxPath];
 char GArgsJson[4096]; ///< pre-rendered `["argv1","argv2",...]`
 std::atomic<bool> GArtifactsRegistered{false};
 std::atomic<int> GArtifactsWritten{0};
+
+/// The journal fd the SIGINT/SIGTERM handler fsyncs; -1 when none is open.
+volatile sig_atomic_t GJournalFd = -1;
 
 // Scratch for the fatal path only. Static so a signal handler never touches
 // the stack guard or the heap; GDumped/GArtifactsWritten serialize use.
@@ -251,11 +253,6 @@ size_t writeCrashRecordsArray(SigWriter &W) {
   return Count;
 }
 
-void openDumpFile(int Pid) {
-  std::snprintf(GDumpPath, sizeof(GDumpPath), "%s/crash.%d.json", GDir, Pid);
-  GFd = ::open(GDumpPath, O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
-}
-
 //===----------------------------------------------------------------------===//
 // Handlers.
 //===----------------------------------------------------------------------===//
@@ -263,10 +260,17 @@ void openDumpFile(int Pid) {
 void fatalSignalHandler(int Sig) {
   CrashDump::dumpNow("signal", Sig);
   // Restore the default disposition and re-raise so the wait status still
-  // says "killed by Sig" — the shard supervisor's crash accounting and the
-  // kill matrix both key off it.
+  // says "killed by Sig" — the kill matrix keys off it.
   ::signal(Sig, SIG_DFL);
   ::raise(Sig);
+}
+
+void terminateSignalHandler(int Sig) {
+  int Fd = GJournalFd;
+  if (Fd >= 0)
+    ::fsync(Fd);
+  CrashDump::writeArtifactsFromSignal(128 + Sig);
+  ::_exit(128 + Sig);
 }
 
 [[noreturn]] void terminateHandler() {
@@ -293,9 +297,10 @@ void CrashDump::install(const char *Tool) {
 void CrashDump::installAt(const char *Tool, const char *Dir) {
   if (GInstalled.load(std::memory_order_relaxed))
     return;
-  std::snprintf(GDir, sizeof(GDir), "%s", Dir);
   formatStamp(Tool);
-  openDumpFile(static_cast<int>(::getpid()));
+  std::snprintf(GDumpPath, sizeof(GDumpPath), "%s/crash.%d.json", Dir,
+                static_cast<int>(::getpid()));
+  GFd = ::open(GDumpPath, O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
   if (GFd < 0)
     return; // unwritable directory: stay disarmed rather than half-armed
 
@@ -310,35 +315,6 @@ void CrashDump::installAt(const char *Tool, const char *Dir) {
   Log::setCrashCapture(true);
   TraceLog::setStackCapture(true);
   GInstalled.store(true, std::memory_order_release);
-}
-
-bool CrashDump::installed() {
-  return GInstalled.load(std::memory_order_relaxed);
-}
-
-const char *CrashDump::directory() {
-  return GInstalled.load(std::memory_order_relaxed) ? GDir : "";
-}
-
-std::string CrashDump::dumpPathForPid(int Pid) {
-  if (!GInstalled.load(std::memory_order_relaxed))
-    return std::string();
-  return std::string(GDir) + "/crash." + std::to_string(Pid) + ".json";
-}
-
-void CrashDump::reinstallAfterFork() {
-  // Artifact paths belong to the parent; a worker flushing them on SIGTERM
-  // would clobber the supervisor's files.
-  GArtifactsRegistered.store(false, std::memory_order_relaxed);
-  GArtifactsWritten.store(0, std::memory_order_relaxed);
-  if (!GInstalled.load(std::memory_order_relaxed))
-    return;
-  if (GFd >= 0)
-    ::close(GFd);
-  GDumped.store(0, std::memory_order_relaxed);
-  openDumpFile(static_cast<int>(::getpid()));
-  if (GFd < 0)
-    GInstalled.store(false, std::memory_order_relaxed);
 }
 
 void CrashDump::disarm() {
@@ -507,4 +483,16 @@ void CrashDump::writeArtifactsFromSignal(int ExitCode) {
       ::close(Fd);
     }
   }
+}
+
+void CrashDump::installTerminateHandlers(int JournalFd) {
+  GJournalFd = JournalFd;
+  struct sigaction SA;
+  std::memset(&SA, 0, sizeof(SA));
+  SA.sa_handler = terminateSignalHandler;
+  ::sigaction(SIGINT, &SA, nullptr);
+  ::sigaction(SIGTERM, &SA, nullptr);
+  std::memset(&SA, 0, sizeof(SA));
+  SA.sa_handler = SIG_IGN;
+  ::sigaction(SIGPIPE, &SA, nullptr);
 }

@@ -23,16 +23,13 @@
 ///
 /// Enabled by the CABLE_CRASH_DIR environment variable (the tools call
 /// install() unconditionally; without the variable it is a no-op). The
-/// dump lands at `$CABLE_CRASH_DIR/crash.<pid>.json`; forked shard
-/// workers re-point at their own pid (Subprocess::spawn calls
-/// reinstallAfterFork), and the supervisor collects nonempty worker
-/// dumps into the run report's `sharded.crash_dumps` array. A clean exit
+/// dump lands at `$CABLE_CRASH_DIR/crash.<pid>.json`. A clean exit
 /// unlinks the (empty) file via disarm().
 ///
-/// Satellite duty: registerSignalArtifacts wires the SIGINT/SIGTERM
-/// fast-exit path, so an interrupted run still flushes `--metrics-out`,
-/// `--run-report`, and `--log-out` through the same signal-safe writer
-/// instead of dying observability-blind.
+/// Satellite duty: installTerminateHandlers and registerSignalArtifacts
+/// wire both tools' SIGINT/SIGTERM fast-exit path, so an interrupted run
+/// still flushes `--metrics-out`, `--run-report`, and `--log-out` through
+/// the same signal-safe writer instead of dying observability-blind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,19 +52,6 @@ public:
 
   /// install() with an explicit directory (tests).
   static void installAt(const char *Tool, const char *Dir);
-
-  static bool installed();
-
-  /// The crash directory ("" when not installed) — the supervisor uses
-  /// it to collect worker dumps.
-  static const char *directory();
-
-  /// `<dir>/crash.<pid>.json`, or "" when not installed.
-  static std::string dumpPathForPid(int Pid);
-
-  /// Forked children call this (Subprocess::spawn does) to re-point the
-  /// pre-opened fd at their own `crash.<pid>.json`.
-  static void reinstallAfterFork();
 
   /// Clean-exit teardown: closes the fd and unlinks the file unless a
   /// dump was actually written.
@@ -96,6 +80,16 @@ public:
   /// carry count/sum/max only and log records come from the crash ring —
   /// documented as the signal-exit subset in docs/OBSERVABILITY.md.
   static void writeArtifactsFromSignal(int ExitCode);
+
+  /// The tools' signal setup. SIGINT/SIGTERM fsync \p JournalFd (when
+  /// >= 0), flush the registered artifacts via writeArtifactsFromSignal,
+  /// and _exit with 128 + the signal number. Every applied journal
+  /// command was already fsynced before it ran (write-ahead), so the
+  /// fsync is belt and braces: Ctrl-C never loses labels. SIGPIPE is
+  /// ignored, so a dead pipe reader (a closed pager) surfaces as an EPIPE
+  /// error status rather than killing the process. Call again with a new
+  /// fd when a journal opens, and with -1 before it closes.
+  static void installTerminateHandlers(int JournalFd = -1);
 };
 
 } // namespace cable

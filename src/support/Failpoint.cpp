@@ -13,11 +13,9 @@
 #include "support/StringUtil.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <thread>
 
 using namespace cable;
 
@@ -25,7 +23,7 @@ std::atomic<uint32_t> Failpoint::NumArmed{0};
 
 namespace {
 
-enum class FailMode { Error, Crash, Hang };
+enum class FailMode { Error, Crash };
 
 struct ArmedPoint {
   FailMode Mode = FailMode::Error;
@@ -88,7 +86,7 @@ Status Failpoint::configure(std::string_view Spec) {
     if (Eq == std::string_view::npos || Eq == 0)
       return Status::error(ErrorCode::InvalidArgument,
                            "bad failpoint clause '" + std::string(Text) +
-                               "' (expected name=error|crash|hang[@N])");
+                               "' (expected name=error|crash[@N])");
     std::string Name(Text.substr(0, Eq));
     std::string_view ModeText = Text.substr(Eq + 1);
     ArmedPoint P;
@@ -106,13 +104,11 @@ Status Failpoint::configure(std::string_view Spec) {
       P.Mode = FailMode::Error;
     else if (ModeText == "crash")
       P.Mode = FailMode::Crash;
-    else if (ModeText == "hang")
-      P.Mode = FailMode::Hang;
     else
       return Status::error(ErrorCode::InvalidArgument,
                            "bad failpoint mode '" + std::string(ModeText) +
                                "' in '" + std::string(Text) +
-                               "' (expected error, crash, or hang)");
+                               "' (expected error or crash)");
     Armed.insert_or_assign(std::move(Name), P);
   }
 
@@ -133,7 +129,7 @@ Status Failpoint::configureFromEnv() {
 
 Status Failpoint::hitSlow(const char *Name) {
   Registry &R = registry();
-  std::unique_lock<std::mutex> Lock(R.Mutex);
+  std::lock_guard<std::mutex> Lock(R.Mutex);
   auto It = R.Armed.find(std::string_view(Name));
   if (It == R.Armed.end())
     return Status::ok();
@@ -142,9 +138,7 @@ Status Failpoint::hitSlow(const char *Name) {
   Metrics::counter("failpoint.hits").add();
   if (P.Hits != P.TriggerAt || P.Fired)
     return Status::ok();
-  const char *ModeName = P.Mode == FailMode::Crash  ? "crash"
-                         : P.Mode == FailMode::Hang ? "hang"
-                                                    : "error";
+  const char *ModeName = P.Mode == FailMode::Crash ? "crash" : "error";
   CABLE_LOG_WARN("failpoint", "failpoint-hit", "armed failpoint triggered",
                  {Log::str("name", Name), Log::str("mode", ModeName),
                   Log::num("hit", static_cast<int64_t>(P.Hits))});
@@ -158,14 +152,6 @@ Status Failpoint::hitSlow(const char *Name) {
                     {Log::str("name", Name)});
     CrashDump::dumpNow("failpoint-crash");
     std::_Exit(kCrashExitCode);
-  }
-  if (P.Mode == FailMode::Hang) {
-    // Simulate a wedged process. The registry lock is released first so
-    // other threads (and other failpoints) stay functional while this
-    // thread sleeps; only a supervisor's deadline ends the hang (SIGKILL).
-    Lock.unlock();
-    for (;;)
-      std::this_thread::sleep_for(std::chrono::seconds(3600));
   }
   P.Fired = true;
   return Status::error(ErrorCode::IoError,

@@ -23,12 +23,7 @@
 ///  - `crash` terminates the process immediately with std::_Exit(86) —
 ///    no stdio flush, no destructors — simulating power loss / SIGKILL
 ///    (kCrashExitCode, so harnesses can tell an injected crash from a
-///    genuine one);
-///  - `hang` parks the hitting thread in an unbounded sleep, simulating a
-///    wedged process (a worker stuck in a kernel call, a livelock). Only
-///    meaningful at sites supervised by a deadline — the shard kill
-///    matrix arms it in worker processes to force the supervisor's
-///    timeout/kill/reassign path.
+///    genuine one).
 ///
 /// Hit sites self-register via Failpoint::Registrar globals so harnesses
 /// can enumerate every instrumented point (`cable-cli --list-failpoints`)

@@ -40,11 +40,6 @@ struct ThreadRing {
   uint64_t Dropped = 0;
 };
 
-struct ForeignBatch {
-  int Pid = 0;
-  std::vector<Log::Record> Records;
-};
-
 struct Global {
   std::mutex Mutex;
   std::vector<ThreadRing *> Rings; ///< leaked; a ring outlives its thread
@@ -52,8 +47,6 @@ struct Global {
   size_t RingCapacity = 4096;
   std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();
-  std::vector<ForeignBatch> Foreign;
-  uint64_t ForeignDropped = 0;
 };
 
 /// Intentionally leaked: records may be appended from static destructors.
@@ -194,77 +187,6 @@ void renderRecordJson(std::string &Out, const Log::Record &R, int Pid) {
   Out += "}";
 }
 
-//===----------------------------------------------------------------------===//
-// Wire encoding (little-endian, strict exact-consume decode).
-//===----------------------------------------------------------------------===//
-
-void putU8(std::string &Out, uint8_t V) {
-  Out.push_back(static_cast<char>(V));
-}
-void putU16(std::string &Out, uint16_t V) {
-  for (int I = 0; I < 2; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-bool getU8(std::string_view &S, uint8_t &V) {
-  if (S.size() < 1)
-    return false;
-  V = static_cast<uint8_t>(S[0]);
-  S.remove_prefix(1);
-  return true;
-}
-bool getU16(std::string_view &S, uint16_t &V) {
-  if (S.size() < 2)
-    return false;
-  V = 0;
-  for (int I = 1; I >= 0; --I)
-    V = static_cast<uint16_t>((V << 8) |
-                              static_cast<uint8_t>(S[static_cast<size_t>(I)]));
-  S.remove_prefix(2);
-  return true;
-}
-bool getU32(std::string_view &S, uint32_t &V) {
-  if (S.size() < 4)
-    return false;
-  V = 0;
-  for (int I = 3; I >= 0; --I)
-    V = (V << 8) | static_cast<uint8_t>(S[static_cast<size_t>(I)]);
-  S.remove_prefix(4);
-  return true;
-}
-bool getU64(std::string_view &S, uint64_t &V) {
-  if (S.size() < 8)
-    return false;
-  V = 0;
-  for (int I = 7; I >= 0; --I)
-    V = (V << 8) | static_cast<uint8_t>(S[static_cast<size_t>(I)]);
-  S.remove_prefix(8);
-  return true;
-}
-
-void putString(std::string &Out, std::string_view S) {
-  size_t N = std::min(S.size(), Log::kMaxWireStringLen);
-  putU16(Out, static_cast<uint16_t>(N));
-  Out.append(S.data(), N);
-}
-
-bool getString(std::string_view &S, std::string &Out) {
-  uint16_t Len = 0;
-  if (!getU16(S, Len) || Len > Log::kMaxWireStringLen || S.size() < Len)
-    return false;
-  Out.assign(S.data(), Len);
-  S.remove_prefix(Len);
-  return true;
-}
-
 } // namespace
 
 void Log::setEnabled(bool On) {
@@ -390,7 +312,6 @@ uint64_t Log::droppedCount() {
   {
     std::lock_guard<std::mutex> Lock(G.Mutex);
     Rings = G.Rings;
-    Total += G.ForeignDropped;
   }
   for (ThreadRing *R : Rings) {
     std::lock_guard<std::mutex> Lock(R->Mutex);
@@ -399,37 +320,12 @@ uint64_t Log::droppedCount() {
   return Total;
 }
 
-void Log::ingestRemote(int Pid, std::vector<Record> Records,
-                       uint64_t DroppedDelta) {
+void Log::reset() {
   Global &G = global();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  G.ForeignDropped += DroppedDelta;
-  if (Records.empty())
-    return;
-  for (ForeignBatch &B : G.Foreign) {
-    if (B.Pid == Pid) {
-      B.Records.insert(B.Records.end(),
-                       std::make_move_iterator(Records.begin()),
-                       std::make_move_iterator(Records.end()));
-      return;
-    }
-  }
-  ForeignBatch B;
-  B.Pid = Pid;
-  B.Records = std::move(Records);
-  G.Foreign.push_back(std::move(B));
-}
-
-void Log::resetAfterFork() {
-  Global &G = global();
-  // Single-threaded post-fork context: locks are taken only to keep the
-  // invariants uniform.
   std::vector<ThreadRing *> Rings;
   {
     std::lock_guard<std::mutex> Lock(G.Mutex);
     Rings = G.Rings;
-    G.Foreign.clear();
-    G.ForeignDropped = 0;
   }
   for (ThreadRing *R : Rings) {
     std::lock_guard<std::mutex> Lock(R->Mutex);
@@ -461,25 +357,8 @@ std::string Log::exportJsonl(std::string_view Tool) {
   Out += std::to_string(droppedCount());
   Out += "}\n";
 
-  struct Entry {
-    int Pid;
-    const Record *R;
-  };
-  std::vector<Record> Local = drainRecords();
-  std::vector<Entry> All;
-  All.reserve(Local.size());
-  for (const Record &R : Local)
-    All.push_back({Pid, &R});
-  Global &G = global();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  for (const ForeignBatch &B : G.Foreign)
-    for (const Record &R : B.Records)
-      All.push_back({B.Pid, &R});
-  std::stable_sort(All.begin(), All.end(), [](const Entry &A, const Entry &B) {
-    return A.Pid != B.Pid ? A.Pid < B.Pid : A.R->Seq < B.R->Seq;
-  });
-  for (const Entry &E : All) {
-    renderRecordJson(Out, *E.R, E.Pid);
+  for (const Record &R : drainRecords()) {
+    renderRecordJson(Out, R, Pid);
     Out += "\n";
   }
   return Out;
@@ -487,61 +366,6 @@ std::string Log::exportJsonl(std::string_view Tool) {
 
 Status Log::writeJsonl(const std::string &Path, std::string_view Tool) {
   return AtomicFile::write(Path, exportJsonl(Tool));
-}
-
-std::string Log::encodeRecords(const std::vector<Record> &Records) {
-  std::string Out;
-  size_t N = std::min(Records.size(), kMaxWireRecords);
-  putU32(Out, static_cast<uint32_t>(N));
-  for (size_t I = 0; I < N; ++I) {
-    const Record &R = Records[I];
-    putU64(Out, R.Seq);
-    putU64(Out, R.TimeUs);
-    putU8(Out, static_cast<uint8_t>(R.Lvl));
-    putU32(Out, R.Tid);
-    putString(Out, R.Event);
-    putString(Out, R.Subsystem);
-    putString(Out, R.Msg);
-    size_t NF = std::min(R.Fields.size(), kMaxWireFields);
-    putU8(Out, static_cast<uint8_t>(NF));
-    for (size_t F = 0; F < NF; ++F) {
-      putString(Out, R.Fields[F].Key);
-      putString(Out, R.Fields[F].Value);
-      putU8(Out, R.Fields[F].Numeric ? 1 : 0);
-    }
-  }
-  return Out;
-}
-
-bool Log::decodeRecords(std::string_view Bytes, std::vector<Record> &Out) {
-  Out.clear();
-  std::string_view S = Bytes;
-  uint32_t N = 0;
-  if (!getU32(S, N) || N > kMaxWireRecords)
-    return false;
-  Out.reserve(N);
-  for (uint32_t I = 0; I < N; ++I) {
-    Record R;
-    uint8_t Lvl = 0, NF = 0;
-    if (!getU64(S, R.Seq) || !getU64(S, R.TimeUs) || !getU8(S, Lvl) ||
-        !getU32(S, R.Tid) || !getString(S, R.Event) ||
-        !getString(S, R.Subsystem) || !getString(S, R.Msg) || !getU8(S, NF))
-      return false;
-    if (Lvl > static_cast<uint8_t>(Level::Error) || NF > kMaxWireFields)
-      return false;
-    R.Lvl = static_cast<Level>(Lvl);
-    R.Fields.resize(NF);
-    for (uint8_t F = 0; F < NF; ++F) {
-      uint8_t Numeric = 0;
-      if (!getString(S, R.Fields[F].Key) ||
-          !getString(S, R.Fields[F].Value) || !getU8(S, Numeric) ||
-          Numeric > 1)
-        return false;
-      R.Fields[F].Numeric = Numeric != 0;
-    }
-    Out.push_back(std::move(R));
-  }
-  return S.empty(); // exact consume, like every other Cable decoder
 }
 
 size_t Log::copyCrashRecords(char *Buf, size_t Cap) {

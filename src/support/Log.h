@@ -22,8 +22,7 @@
 /// Two arming bits, one combined gate:
 ///
 ///  - setEnabled(true) (the `--log-out` / CABLE_LOG path) arms structured
-///    collection: records are kept for exportJsonl / the shard telemetry
-///    flush.
+///    collection: records are kept for exportJsonl.
 ///  - setCrashCapture(true) (done by CrashDump::install) arms only the
 ///    crash ring, so a process with a flight recorder but no --log-out
 ///    still dies with its last events on record.
@@ -35,10 +34,7 @@
 /// assert on them; messages are prose and carry no contract.
 ///
 /// Exported form is `cable-log/1` JSONL: one header object (schema, tool,
-/// build stamp, pid), then one object per record ordered by (pid, seq).
-/// Worker-process records arrive through ingestRemote (the shard `T`
-/// telemetry flush, docs/FORMATS.md) and keep their own pid, so a sharded
-/// run exports one merged multi-process log.
+/// build stamp, pid), then one object per record ordered by seq.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,18 +66,6 @@ public:
 #endif
   }
 
-  /// True when structured collection (export / wire flush) was requested;
-  /// crash-ring-only arming does not count. This is what the shard
-  /// supervisor consults when deciding whether workers should flush log
-  /// deltas.
-  static bool structuredEnabled() {
-#ifdef CABLE_NO_INSTRUMENT
-    return false;
-#else
-    return (Armed.load(std::memory_order_relaxed) & kStructuredBit) != 0;
-#endif
-  }
-
   static void setEnabled(bool On);      ///< Structured rings (`--log-out`).
   static void setCrashCapture(bool On); ///< Crash ring only (flight recorder).
 
@@ -107,14 +91,13 @@ public:
   }
 
   /// One structured record. TimeUs is microseconds since the process
-  /// epoch (fork-preserved, so supervisor and worker records share a
-  /// timeline like trace spans do).
+  /// epoch.
   struct Record {
     uint64_t Seq = 0;
     uint64_t TimeUs = 0;
     Level Lvl = Level::Info;
     std::string Event;     ///< stable kebab-case code (the contract)
-    std::string Subsystem; ///< kebab-case subsystem (cache, shard, ...)
+    std::string Subsystem; ///< kebab-case subsystem (cache, journal, ...)
     std::string Msg;       ///< human prose, no contract
     std::vector<Field> Fields;
     uint32_t Tid = 0;
@@ -127,48 +110,27 @@ public:
                    std::string_view Event, std::string_view Msg,
                    std::initializer_list<Field> Fields = {});
 
-  /// Removes and returns every locally buffered record, oldest first —
-  /// the worker-side flush primitive. Foreign records are not drained.
+  /// Removes and returns every buffered record, ordered by seq.
   static std::vector<Record> drainRecords();
 
-  /// Records overwritten in local rings (plus dropped deltas folded in by
-  /// ingestRemote) since process start.
+  /// Records overwritten in the rings since process start (or reset()).
   static uint64_t droppedCount();
 
-  /// Folds a worker's flushed delta into this process's export set. The
-  /// records keep \p Pid in the merged JSONL; \p DroppedDelta adds to
-  /// droppedCount.
-  static void ingestRemote(int Pid, std::vector<Record> Records,
-                           uint64_t DroppedDelta);
-
-  /// Forked children call this (Subprocess::spawn does) so their flushes
-  /// carry only records they emitted themselves. The sequence counter and
-  /// epoch survive, keeping per-pid sequences monotonic.
-  static void resetAfterFork();
+  /// Drops every buffered record, in the rings and the crash ring, and
+  /// zeroes the drop counters; thread ids and the sequence counter
+  /// persist (test isolation).
+  static void reset();
 
   /// The `cable-log/1` JSONL document: header line then records ordered
-  /// by (pid, seq). Drains local rings; includes ingested foreign
-  /// records.
+  /// by seq. Drains the rings.
   static std::string exportJsonl(std::string_view Tool);
   static Status writeJsonl(const std::string &Path, std::string_view Tool);
-
-  /// Byte-exact little-endian wire form for the shard `T` flush
-  /// (docs/FORMATS.md). decodeRecords is strict: truncation, over-limit
-  /// counts or lengths, or trailing bytes return false.
-  static std::string encodeRecords(const std::vector<Record> &Records);
-  static bool decodeRecords(std::string_view Bytes,
-                            std::vector<Record> &Out);
 
   /// Async-signal-safe: copies the crash ring's pre-rendered JSON object
   /// lines, oldest first, newline-separated, into \p Buf. Returns bytes
   /// written. Torn slots (a writer was mid-copy when the signal landed)
   /// are skipped, never emitted half-written.
   static size_t copyCrashRecords(char *Buf, size_t Cap);
-
-  /// Wire limits (shared with the decoder; a frame past these is corrupt).
-  static constexpr size_t kMaxWireRecords = 65536;
-  static constexpr size_t kMaxWireStringLen = 4096;
-  static constexpr size_t kMaxWireFields = 16;
 
 private:
   static constexpr unsigned kStructuredBit = 1;

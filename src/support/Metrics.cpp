@@ -243,237 +243,6 @@ std::vector<Metrics::Sample> Metrics::snapshot() {
   return Out;
 }
 
-std::vector<Metrics::Sample>
-Metrics::deltaSince(const std::vector<Sample> &Baseline) {
-  std::vector<Sample> Now = snapshot();
-  std::vector<Sample> Out;
-  // Both lists are name-sorted (registry map order); a single merge walk
-  // pairs each current sample with its baseline, if any. The registry
-  // only grows, so every baseline name is present in Now.
-  size_t BI = 0;
-  for (Sample &S : Now) {
-    while (BI < Baseline.size() && Baseline[BI].Name < S.Name)
-      ++BI;
-    const Sample *B =
-        (BI < Baseline.size() && Baseline[BI].Name == S.Name) ? &Baseline[BI]
-                                                              : nullptr;
-    switch (S.K) {
-    case Sample::KindCounter: {
-      uint64_t Base = B ? B->Count : 0;
-      if (S.Count == Base)
-        continue;
-      S.Count -= Base;
-      break;
-    }
-    case Sample::KindGauge:
-      if (B ? (S.Value == B->Value && S.High == B->High)
-            : (S.Value == 0 && S.High == 0))
-        continue;
-      break;
-    case Sample::KindHistogram: {
-      uint64_t Base = B ? B->Count : 0;
-      if (S.Count == Base)
-        continue;
-      if (B) {
-        S.Count -= B->Count;
-        S.Sum -= B->Sum;
-        for (size_t I = 0; I < S.Buckets.size() && I < B->Buckets.size(); ++I)
-          S.Buckets[I] -= B->Buckets[I];
-      }
-      break;
-    }
-    }
-    Out.push_back(std::move(S));
-  }
-  return Out;
-}
-
-void Metrics::mergeDelta(const std::vector<Sample> &Delta) {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  for (const Sample &S : Delta) {
-    auto It = R.Entries.find(S.Name);
-    if (It == R.Entries.end()) {
-      Entry E;
-      E.Kind = S.K;
-      switch (S.K) {
-      case Sample::KindCounter:
-        E.C = std::make_unique<Counter>();
-        break;
-      case Sample::KindGauge:
-        E.G = std::make_unique<Gauge>();
-        break;
-      case Sample::KindHistogram:
-        E.H = std::make_unique<Histogram>();
-        break;
-      }
-      It = R.Entries.emplace(S.Name, std::move(E)).first;
-    }
-    Entry &E = It->second;
-    if (E.Kind != S.K)
-      continue; // A lying worker must not abort the supervisor.
-    switch (S.K) {
-    case Sample::KindCounter:
-      E.C->V.fetch_add(S.Count, std::memory_order_relaxed);
-      break;
-    case Sample::KindGauge: {
-      // High-water policy: both the value and the mark take the maximum
-      // of what either process saw.
-      if (S.Value > E.G->V.load(std::memory_order_relaxed))
-        E.G->V.store(S.Value, std::memory_order_relaxed);
-      int64_t Hi = S.High > S.Value ? S.High : S.Value;
-      if (Hi > E.G->Hi.load(std::memory_order_relaxed))
-        E.G->Hi.store(Hi, std::memory_order_relaxed);
-      break;
-    }
-    case Sample::KindHistogram:
-      for (size_t I = 0; I < Histogram::kNumBuckets && I < S.Buckets.size();
-           ++I)
-        E.H->Buckets[I].fetch_add(S.Buckets[I], std::memory_order_relaxed);
-      E.H->Sum.fetch_add(S.Sum, std::memory_order_relaxed);
-      E.H->N.fetch_add(S.Count, std::memory_order_relaxed);
-      if (S.Max > E.H->Max.load(std::memory_order_relaxed))
-        E.H->Max.store(S.Max, std::memory_order_relaxed);
-      break;
-    }
-  }
-}
-
-namespace {
-
-void putU16(std::string &Out, uint16_t V) {
-  Out.push_back(static_cast<char>(V & 0xff));
-  Out.push_back(static_cast<char>((V >> 8) & 0xff));
-}
-
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-bool getU16(std::string_view S, size_t &Pos, uint16_t &V) {
-  if (S.size() - Pos < 2)
-    return false;
-  V = static_cast<uint16_t>(static_cast<uint8_t>(S[Pos]) |
-                            (static_cast<uint8_t>(S[Pos + 1]) << 8));
-  Pos += 2;
-  return true;
-}
-
-bool getU32(std::string_view S, size_t &Pos, uint32_t &V) {
-  if (S.size() - Pos < 4)
-    return false;
-  V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(static_cast<uint8_t>(S[Pos + I])) << (8 * I);
-  Pos += 4;
-  return true;
-}
-
-bool getU64(std::string_view S, size_t &Pos, uint64_t &V) {
-  if (S.size() - Pos < 8)
-    return false;
-  V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(static_cast<uint8_t>(S[Pos + I])) << (8 * I);
-  Pos += 8;
-  return true;
-}
-
-// Sanity ceilings for remote-supplied telemetry: a corrupt (but
-// CRC-valid) frame must not drive a giant allocation.
-constexpr uint32_t kMaxWireSamples = 65536;
-constexpr uint16_t kMaxWireNameLen = 512;
-
-} // namespace
-
-std::string Metrics::encodeSamples(const std::vector<Sample> &Samples) {
-  std::string Out;
-  putU32(Out, static_cast<uint32_t>(Samples.size()));
-  for (const Sample &S : Samples) {
-    Out.push_back(static_cast<char>(S.K));
-    putU16(Out, static_cast<uint16_t>(S.Name.size()));
-    Out += S.Name;
-    switch (S.K) {
-    case Sample::KindCounter:
-      putU64(Out, S.Count);
-      break;
-    case Sample::KindGauge:
-      putU64(Out, static_cast<uint64_t>(S.Value));
-      putU64(Out, static_cast<uint64_t>(S.High));
-      break;
-    case Sample::KindHistogram:
-      putU64(Out, S.Count);
-      putU64(Out, S.Sum);
-      putU64(Out, S.Max);
-      Out.push_back(static_cast<char>(S.Buckets.size()));
-      for (uint64_t B : S.Buckets)
-        putU64(Out, B);
-      break;
-    }
-  }
-  return Out;
-}
-
-bool Metrics::decodeSamples(std::string_view Bytes,
-                            std::vector<Sample> &Out) {
-  Out.clear();
-  size_t Pos = 0;
-  uint32_t Num = 0;
-  if (!getU32(Bytes, Pos, Num) || Num > kMaxWireSamples)
-    return false;
-  Out.reserve(Num);
-  for (uint32_t I = 0; I < Num; ++I) {
-    if (Bytes.size() - Pos < 3)
-      return false;
-    uint8_t Kind = static_cast<uint8_t>(Bytes[Pos++]);
-    if (Kind > Sample::KindHistogram)
-      return false;
-    uint16_t NameLen = 0;
-    if (!getU16(Bytes, Pos, NameLen) || NameLen == 0 ||
-        NameLen > kMaxWireNameLen || Bytes.size() - Pos < NameLen)
-      return false;
-    Sample S;
-    S.K = static_cast<Sample::Kind>(Kind);
-    S.Name.assign(Bytes.data() + Pos, NameLen);
-    Pos += NameLen;
-    switch (S.K) {
-    case Sample::KindCounter:
-      if (!getU64(Bytes, Pos, S.Count))
-        return false;
-      break;
-    case Sample::KindGauge: {
-      uint64_t V = 0, H = 0;
-      if (!getU64(Bytes, Pos, V) || !getU64(Bytes, Pos, H))
-        return false;
-      S.Value = static_cast<int64_t>(V);
-      S.High = static_cast<int64_t>(H);
-      break;
-    }
-    case Sample::KindHistogram: {
-      if (!getU64(Bytes, Pos, S.Count) || !getU64(Bytes, Pos, S.Sum) ||
-          !getU64(Bytes, Pos, S.Max) || Bytes.size() - Pos < 1)
-        return false;
-      uint8_t NumBuckets = static_cast<uint8_t>(Bytes[Pos++]);
-      if (NumBuckets > Histogram::kNumBuckets)
-        return false;
-      S.Buckets.resize(NumBuckets);
-      for (uint8_t B = 0; B < NumBuckets; ++B)
-        if (!getU64(Bytes, Pos, S.Buckets[B]))
-          return false;
-      break;
-    }
-    }
-    Out.push_back(std::move(S));
-  }
-  return Pos == Bytes.size();
-}
-
 std::string Metrics::snapshotJson() {
   std::vector<Sample> Samples = snapshot();
   JsonWriter W;

@@ -218,30 +218,6 @@ public:
   /// Every registered metric, sorted by name.
   static std::vector<Sample> snapshot();
 
-  /// The change since \p Baseline (an earlier snapshot() of this same
-  /// registry), for cross-process telemetry flushes: counters and
-  /// histograms are subtracted element-wise (a histogram delta keeps the
-  /// current max — maxima do not subtract), gauges are carried at their
-  /// current value/high when either moved. Samples with no change are
-  /// omitted. Names absent from the baseline are included whole.
-  static std::vector<Sample> deltaSince(const std::vector<Sample> &Baseline);
-
-  /// Folds a remote process's delta into this registry: counters and
-  /// histograms add (bucket-wise, plus sum/count; max merges by maximum),
-  /// gauges merge by high-water policy (value and high both take the
-  /// maximum of local and remote). Unknown names are registered; a name
-  /// already registered as a different kind is skipped, never aborted on —
-  /// remote bytes must not be able to kill the supervisor. Bypasses the
-  /// armed gate: the caller decides whether telemetry is on.
-  static void mergeDelta(const std::vector<Sample> &Delta);
-
-  /// Byte-exact little-endian wire form of a sample list, for the shard
-  /// telemetry frame (layout in docs/FORMATS.md). decodeSamples is
-  /// strict: any truncation, over-limit count, or trailing bytes returns
-  /// false and leaves \p Out unspecified.
-  static std::string encodeSamples(const std::vector<Sample> &Samples);
-  static bool decodeSamples(std::string_view Bytes, std::vector<Sample> &Out);
-
   /// The snapshot as one JSON object:
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   /// Keys are sorted; histograms carry count/sum/max/p50/p90 plus the raw

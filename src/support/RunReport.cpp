@@ -16,58 +16,12 @@ using namespace cable;
 
 namespace {
 
-/// Worker crash dumps the shard supervisor collected this run (validated
-/// JSON documents, embedded verbatim into the sharded section). Leaked
-/// like the metrics registry: report rendering can run from handlers late
-/// in process teardown.
-std::vector<std::string> &collectedDumps() {
-  static std::vector<std::string> *Dumps = new std::vector<std::string>();
-  return *Dumps;
-}
-
 void emitBuildStamp(JsonWriter &W) {
   W.member("version", std::string_view(buildinfo::kVersion));
   W.member("git_sha", std::string_view(buildinfo::kGitSha));
   W.member("build_type", std::string_view(buildinfo::kBuildType));
   W.member("sanitize", std::string_view(buildinfo::kSanitize));
   W.member("instrumented", buildinfo::kInstrumented);
-}
-
-/// Emits the `sharded` summary object when this run used (or asked for)
-/// multi-process construction: worker count, restart/crash tallies, the
-/// telemetry merge-vs-lost ledger, and per-worker block attribution.
-/// Quiet runs (no sharding requested) get no section at all.
-void emitShardedSection(JsonWriter &W) {
-  uint64_t Builds = Metrics::counterValue("shard.builds");
-  uint64_t Degraded = Metrics::counterValue("shard.degraded-builds");
-  int64_t Workers = Metrics::gauge("shard.workers").high();
-  if (Builds == 0 && Degraded == 0 && Workers == 0)
-    return;
-  W.key("sharded");
-  W.beginObject();
-  W.member("builds", Builds);
-  W.member("degraded_builds", Degraded);
-  W.member("workers", Workers);
-  W.member("worker_restarts", Metrics::counterValue("shard.worker-restarts"));
-  W.member("worker_crashes", Metrics::counterValue("shard.worker-crashes"));
-  W.member("blocks_dispatched",
-           Metrics::counterValue("shard.blocks-dispatched"));
-  W.member("flushes_merged", Metrics::counterValue("shard.telemetry-merged"));
-  W.member("flushes_lost", Metrics::counterValue("shard.telemetry-lost"));
-  W.key("blocks_per_worker");
-  W.beginArray();
-  for (int64_t I = 0; I < Workers; ++I)
-    W.value(Metrics::counterValue("shard.worker-blocks." +
-                                  std::to_string(I)));
-  W.endArray();
-  if (!collectedDumps().empty()) {
-    W.key("crash_dumps");
-    W.beginArray();
-    for (const std::string &Doc : collectedDumps())
-      W.rawValue(Doc);
-    W.endArray();
-  }
-  W.endObject();
 }
 
 /// Emits the `cache` summary object when this run consulted the lattice
@@ -100,7 +54,6 @@ std::string cable::renderMetricsJson(std::string_view Tool) {
   W.member("schema", std::string_view("cable-metrics/1"));
   W.member("tool", Tool);
   emitBuildStamp(W);
-  emitShardedSection(W);
   emitCacheSection(W);
   W.key("metrics");
   W.rawValue(Metrics::snapshotJson());
@@ -127,7 +80,6 @@ std::string cable::renderRunReport(const RunReportInfo &Info) {
   W.member("truncated", Info.Truncated);
   W.member("clean_exit", Info.CleanExit);
   W.member("exit_code", static_cast<int64_t>(Info.ExitCode));
-  emitShardedSection(W);
   emitCacheSection(W);
   W.key("metrics");
   W.rawValue(Metrics::snapshotJson());
@@ -138,12 +90,4 @@ std::string cable::renderRunReport(const RunReportInfo &Info) {
 Status cable::writeRunReport(const std::string &Path,
                              const RunReportInfo &Info) {
   return AtomicFile::write(Path, renderRunReport(Info));
-}
-
-void cable::addCollectedCrashDump(std::string Document) {
-  collectedDumps().push_back(std::move(Document));
-}
-
-const std::vector<std::string> &cable::collectedCrashDumps() {
-  return collectedDumps();
 }

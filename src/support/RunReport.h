@@ -53,15 +53,6 @@ std::string renderRunReport(const RunReportInfo &Info);
 /// renderRunReport written atomically to \p Path.
 Status writeRunReport(const std::string &Path, const RunReportInfo &Info);
 
-/// Registers a worker flight-recorder dump (a validated
-/// `cable-crashdump/1` document) collected by the shard supervisor; the
-/// run report attaches every registered dump as `sharded.crash_dumps`.
-/// \p Document must be well-formed JSON — it is embedded verbatim.
-void addCollectedCrashDump(std::string Document);
-
-/// The dumps registered so far, in collection order (tests).
-const std::vector<std::string> &collectedCrashDumps();
-
 } // namespace cable
 
 #endif // CABLE_SUPPORT_RUNREPORT_H

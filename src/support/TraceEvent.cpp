@@ -38,14 +38,6 @@ struct Event {
   uint64_t DurUs = 0;
   int64_t Arg = 0;
   bool HasArg = false;
-  uint8_t FlowPhase = 0; ///< 0 = span; 's'/'t'/'f' = flow instant
-  uint64_t FlowId = 0;
-};
-
-/// A span adopted from another process (a shard worker's flush).
-struct ForeignSpan {
-  int64_t Pid = 0;
-  TraceLog::RawSpan S;
 };
 
 /// One thread's span ring. Appends come only from the owning thread; the
@@ -70,12 +62,6 @@ struct Global {
   size_t RingCapacity = 65536;
   std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();
-  /// Spans ingested from worker processes, plus their track names.
-  /// Bounded so a chatty fleet cannot grow the supervisor without limit.
-  std::vector<ForeignSpan> Foreign;
-  std::vector<std::pair<int64_t, std::string>> ForeignProcs;
-  size_t ForeignCapacity = 1 << 20;
-  uint64_t ForeignDropped = 0;
 };
 
 /// Intentionally leaked (spans can be recorded during static teardown).
@@ -118,9 +104,14 @@ void TraceLog::setThreadName(std::string Name) {
   R.Name = std::move(Name);
 }
 
-namespace {
-
-void appendEvent(Event E) {
+void TraceLog::record(std::string Name, uint64_t StartUs, uint64_t DurUs,
+                      int64_t Arg, bool HasArg) {
+  Event E;
+  E.Name = std::move(Name);
+  E.StartUs = StartUs;
+  E.DurUs = DurUs;
+  E.Arg = Arg;
+  E.HasArg = HasArg;
   ThreadRing &R = myRing();
   std::lock_guard<std::mutex> Lock(R.Mutex);
   if (R.Ring.size() < R.Capacity) {
@@ -133,101 +124,6 @@ void appendEvent(Event E) {
   }
   R.Next = (R.Next + 1) % R.Capacity;
   ++R.Total;
-}
-
-} // namespace
-
-void TraceLog::record(std::string Name, uint64_t StartUs, uint64_t DurUs,
-                      int64_t Arg, bool HasArg) {
-  Event E;
-  E.Name = std::move(Name);
-  E.StartUs = StartUs;
-  E.DurUs = DurUs;
-  E.Arg = Arg;
-  E.HasArg = HasArg;
-  appendEvent(std::move(E));
-}
-
-void TraceLog::recordFlow(uint64_t FlowId, char Phase) {
-  if (!enabled())
-    return;
-  Event E;
-  E.Name = "shard-flow";
-  E.StartUs = nowUs();
-  E.FlowPhase = static_cast<uint8_t>(Phase);
-  E.FlowId = FlowId;
-  appendEvent(std::move(E));
-}
-
-std::vector<TraceLog::RawSpan> TraceLog::drainSpans() {
-  Global &G = global();
-  std::vector<std::shared_ptr<ThreadRing>> Rings;
-  {
-    std::lock_guard<std::mutex> Lock(G.Mutex);
-    Rings = G.Rings;
-  }
-  std::vector<RawSpan> Out;
-  for (const auto &RP : Rings) {
-    std::lock_guard<std::mutex> Lock(RP->Mutex);
-    ThreadRing &R = *RP;
-    size_t N = R.Ring.size();
-    size_t First = N < R.Capacity ? 0 : R.Next;
-    for (size_t I = 0; I < N; ++I) {
-      Event &E = R.Ring[(First + I) % N];
-      RawSpan S;
-      S.Name = std::move(E.Name);
-      S.StartUs = E.StartUs;
-      S.DurUs = E.DurUs;
-      S.Arg = E.Arg;
-      S.HasArg = E.HasArg;
-      S.FlowPhase = E.FlowPhase;
-      S.FlowId = E.FlowId;
-      S.Tid = R.Tid;
-      S.ThreadName = R.Name;
-      Out.push_back(std::move(S));
-    }
-    R.Ring.clear();
-    R.Next = 0;
-  }
-  return Out;
-}
-
-void TraceLog::ingestRemote(int64_t Pid, std::string_view ProcessName,
-                            std::vector<RawSpan> Spans, uint64_t DroppedDelta) {
-  Global &G = global();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  bool Known = false;
-  for (const auto &[P, Name] : G.ForeignProcs)
-    Known = Known || P == Pid;
-  if (!Known)
-    G.ForeignProcs.emplace_back(Pid, std::string(ProcessName));
-  G.ForeignDropped += DroppedDelta;
-  for (RawSpan &S : Spans) {
-    if (G.Foreign.size() >= G.ForeignCapacity) {
-      ++G.ForeignDropped;
-      SpansDropped.add();
-      continue;
-    }
-    ForeignSpan F;
-    F.Pid = Pid;
-    F.S = std::move(S);
-    G.Foreign.push_back(std::move(F));
-  }
-}
-
-void TraceLog::resetAfterFork() {
-  Global &G = global();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  for (const auto &R : G.Rings) {
-    std::lock_guard<std::mutex> RLock(R->Mutex);
-    R->Ring.clear();
-    R->Next = 0;
-    R->Total = 0;
-    R->Dropped = 0;
-  }
-  G.Foreign.clear();
-  G.ForeignProcs.clear();
-  G.ForeignDropped = 0;
 }
 
 uint64_t TraceLog::spanCount() {
@@ -244,7 +140,7 @@ uint64_t TraceLog::spanCount() {
 uint64_t TraceLog::droppedCount() {
   Global &G = global();
   std::lock_guard<std::mutex> Lock(G.Mutex);
-  uint64_t N = G.ForeignDropped; // Remote losses reported via ingestRemote.
+  uint64_t N = 0;
   for (const auto &R : G.Rings) {
     std::lock_guard<std::mutex> RLock(R->Mutex);
     N += R->Dropped;
@@ -263,9 +159,6 @@ void TraceLog::reset() {
     R->Dropped = 0;
     R->Capacity = std::max<size_t>(G.RingCapacity, 4);
   }
-  G.Foreign.clear();
-  G.ForeignProcs.clear();
-  G.ForeignDropped = 0;
 }
 
 void TraceLog::setRingCapacity(size_t Events) {
@@ -376,26 +269,14 @@ bool TraceLog::crashStackRead(size_t I, CrashStackView &Out) {
 
 namespace {
 
-/// One trace event, local or foreign. Flow instants ('s'/'t'/'f') bind
-/// by (cat, id) to the slice enclosing their timestamp on their track;
-/// a finish ('f') needs bp:"e" to attach to the enclosing slice.
+/// One complete ("X") duration event.
 void writeEventJson(JsonWriter &W, const Event &E, int64_t Pid, int Tid) {
   W.beginObject();
   W.member("name", std::string_view(E.Name));
-  if (E.FlowPhase == 0) {
-    W.member("cat", std::string_view("cable"));
-    W.member("ph", std::string_view("X"));
-    W.member("ts", E.StartUs);
-    W.member("dur", E.DurUs);
-  } else {
-    char Ph[2] = {static_cast<char>(E.FlowPhase), 0};
-    W.member("cat", std::string_view("shard"));
-    W.member("ph", std::string_view(Ph, 1));
-    W.member("id", E.FlowId);
-    W.member("ts", E.StartUs);
-    if (E.FlowPhase == 'f')
-      W.member("bp", std::string_view("e"));
-  }
+  W.member("cat", std::string_view("cable"));
+  W.member("ph", std::string_view("X"));
+  W.member("ts", E.StartUs);
+  W.member("dur", E.DurUs);
   W.member("pid", Pid);
   W.member("tid", static_cast<int64_t>(Tid));
   if (E.HasArg) {
@@ -453,35 +334,6 @@ std::string TraceLog::exportJson(std::string_view ToolName) {
     size_t First = N < R.Capacity ? 0 : R.Next;
     for (size_t I = 0; I < N; ++I)
       writeEventJson(W, R.Ring[(First + I) % N], Pid, R.Tid);
-  }
-  // Spans ingested from worker processes render as their own pid tracks
-  // on the same steady-clock timeline (fork preserves the epoch).
-  {
-    std::lock_guard<std::mutex> Lock(G.Mutex);
-    TotalDropped += G.ForeignDropped;
-    for (const auto &[FPid, Name] : G.ForeignProcs)
-      writeMetadataJson(W, "process_name", FPid, 0, false, Name);
-    std::vector<std::pair<int64_t, int>> NamedThreads;
-    for (const ForeignSpan &F : G.Foreign) {
-      if (!F.S.ThreadName.empty()) {
-        std::pair<int64_t, int> Key(F.Pid, F.S.Tid);
-        if (std::find(NamedThreads.begin(), NamedThreads.end(), Key) ==
-            NamedThreads.end()) {
-          NamedThreads.push_back(Key);
-          writeMetadataJson(W, "thread_name", F.Pid, F.S.Tid, true,
-                            F.S.ThreadName);
-        }
-      }
-      Event E;
-      E.Name = F.S.Name;
-      E.StartUs = F.S.StartUs;
-      E.DurUs = F.S.DurUs;
-      E.Arg = F.S.Arg;
-      E.HasArg = F.S.HasArg;
-      E.FlowPhase = F.S.FlowPhase;
-      E.FlowId = F.S.FlowId;
-      writeEventJson(W, E, F.Pid, F.S.Tid);
-    }
   }
   W.endArray();
   W.key("otherData");

@@ -66,52 +66,6 @@ public:
   /// Names the calling thread in the exported trace (e.g. "pool-worker-2").
   static void setThreadName(std::string Name);
 
-  /// One recorded span (or instant flow event) in raw process-neutral
-  /// form — the unit the shard telemetry frame carries across the fork
-  /// boundary. FlowPhase 0 is a plain duration span; 's'/'t'/'f' mark the
-  /// Chrome flow-event instants that stitch a block's dispatch → worker
-  /// compute → merge into one arrow across process tracks.
-  struct RawSpan {
-    std::string Name;
-    uint64_t StartUs = 0;
-    uint64_t DurUs = 0;
-    int64_t Arg = 0;
-    bool HasArg = false;
-    uint8_t FlowPhase = 0;
-    uint64_t FlowId = 0;
-    int Tid = 0;
-    std::string ThreadName;
-  };
-
-  /// Records an instant flow event on the calling thread. \p Phase is
-  /// 's' (flow start), 't' (step), or 'f' (finish); events sharing a
-  /// \p FlowId render as one arrow. Place the call inside the span the
-  /// arrow should attach to. Disarmed cost: one relaxed load.
-  static void recordFlow(uint64_t FlowId, char Phase);
-
-  /// Removes and returns every buffered event from this process's rings,
-  /// oldest first (the worker side of a telemetry flush). Thread ids,
-  /// names, capacities, and cumulative drop counters persist.
-  static std::vector<RawSpan> drainSpans();
-
-  /// Adopts spans drained from another process: they export under
-  /// \p Pid with a process_name metadata row naming the track (first
-  /// name seen per pid wins). Foreign storage is bounded; overflow is
-  /// counted as dropped, never fatal. \p DroppedDelta folds the remote
-  /// process's own ring-wraparound losses into this process's dropped
-  /// total so the exported dropped_events figure spans the whole build.
-  static void ingestRemote(int64_t Pid, std::string_view ProcessName,
-                           std::vector<RawSpan> Spans,
-                           uint64_t DroppedDelta = 0);
-
-  /// Forked children inherit the parent's ring contents (and any
-  /// ingested foreign spans) by address-space copy; Subprocess::spawn
-  /// calls this first thing in the child so worker flushes carry only the
-  /// worker's own spans. The epoch, ring registration, thread ids, and
-  /// names survive — fork preserves the steady-clock timeline, so parent
-  /// and child timestamps stay directly comparable.
-  static void resetAfterFork();
-
   /// Renders every recorded span as a Chrome trace-event JSON document.
   /// \p ToolName goes into otherData along with the build stamp.
   static std::string exportJson(std::string_view ToolName);
@@ -125,8 +79,7 @@ public:
   /// Spans lost to ring-buffer wraparound.
   static uint64_t droppedCount();
 
-  /// Drops every recorded span (local and ingested) and resets drop
-  /// counters; thread ids and names persist. Ring capacity changes take
+  /// Drops every recorded span and resets drop counters; thread ids and names persist. Ring capacity changes take
   /// effect for rings created after the call (test isolation).
   static void reset();
 

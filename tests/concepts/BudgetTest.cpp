@@ -18,6 +18,9 @@
 // truncated lattices, and a cap equal to the true concept count does not
 // truncate at all.
 //
+// std::bad_alloc containment at the budgeted boundary is covered here too,
+// via the `lattice-oom` failpoint.
+//
 //===----------------------------------------------------------------------===//
 
 #include "concepts/BuildResult.h"
@@ -25,6 +28,7 @@
 #include "concepts/NextClosureBuilder.h"
 #include "concepts/ParallelBuilder.h"
 
+#include "support/Failpoint.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
@@ -293,4 +297,55 @@ TEST(BudgetBuilderTest, MeetJoinDegradeGracefullyOnTruncatedLattices) {
       EXPECT_TRUE(L.node(J).Intent.isSubsetOf(L.node(B).Intent));
     }
   }
+}
+
+namespace {
+
+/// A small random context (0-12 objects, 0-10 attributes, random density)
+/// fixed by \p Seed.
+Context seededContext(uint64_t Seed) {
+  RNG Rand(Seed * 6364136223846793005ULL + 1442695040888963407ULL);
+  size_t O = Rand.nextIndex(13);
+  size_t A = Rand.nextIndex(11);
+  double Density = 0.05 + 0.9 * Rand.nextDouble();
+  Context Ctx(O, A);
+  for (size_t I = 0; I < O; ++I)
+    for (size_t J = 0; J < A; ++J)
+      if (Rand.nextBool(Density))
+        Ctx.relate(I, J);
+  return Ctx;
+}
+
+/// std::bad_alloc containment at the budgeted boundary, driven by the
+/// `lattice-oom` failpoint.
+class OomContainmentTest : public ::testing::Test {
+protected:
+  void TearDown() override { Failpoint::reset(); }
+};
+
+} // namespace
+
+TEST_F(OomContainmentTest, SerialBuilderKeepsThePrefixAndReportsExhaustion) {
+  Context Ctx = seededContext(4242);
+  ASSERT_TRUE(Failpoint::configure("lattice-oom=error@4").isOk());
+  BudgetMeter Meter{Budget{}};
+  LatticeBuildResult R = NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
+  EXPECT_TRUE(R.Truncated);
+  EXPECT_EQ(ErrorCode::ResourceExhausted, R.BuildStatus.code());
+  EXPECT_NE(std::string::npos, R.BuildStatus.message().find("memory"));
+  std::string Why;
+  EXPECT_TRUE(R.Lattice.verify(Ctx, &Why)) << Why;
+  EXPECT_GE(R.Lattice.size(), 2u); // Top and bottom survive at minimum.
+}
+
+TEST_F(OomContainmentTest, ParallelBuilderContainsTheThrowPerBlock) {
+  Context Ctx = seededContext(4242);
+  ASSERT_TRUE(Failpoint::configure("lattice-oom=error@2").isOk());
+  BudgetMeter Meter{Budget{}};
+  LatticeBuildResult R =
+      ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, /*NumThreads=*/2);
+  EXPECT_TRUE(R.Truncated);
+  EXPECT_EQ(ErrorCode::ResourceExhausted, R.BuildStatus.code());
+  std::string Why;
+  EXPECT_TRUE(R.Lattice.verify(Ctx, &Why)) << Why;
 }

@@ -15,32 +15,16 @@
 # the single in-flight command may be lost, and the script resume replays
 # exactly that command, so even "lost" work reappears.
 #
-# A second phase (KILL_MATRIX_PHASE=shard, spec-lint path as the third
-# argument) drives the multi-process lattice build instead: every
-# worker-lifecycle failpoint (shard-pre-fork, shard-post-compute,
-# shard-pre-reply, shard-mid-frame) x {crash,error} x trigger indices x
-# {1,2,4,8} workers, plus a wedged-worker (hang) sweep under a short
-# --shard-timeout. A crashed worker's counters die with it, so the
-# observable record is the supervisor's shard.* counters: whenever a
-# run shows fault evidence (worker-crashes / timed-out / error-replies /
-# frames-rejected) it must also show recovery work (retries / reassigned /
-# degraded-*), the telemetry ledger must balance (merged + lost flushes
-# cover every dispatched block — nothing vanishes silently), and every
-# run — faulted or not — must emit a violation lattice byte-identical to
-# the serial golden DOT.
-#
-# A third phase (KILL_MATRIX_PHASE=cache) drives the lattice artifact
-# store: every cache failpoint x {crash,error} x trigger indices, against
+# A second phase (KILL_MATRIX_PHASE=cache, spec-lint path as the third
+# argument) drives the lattice artifact store: every cache failpoint x {crash,error} x trigger indices, against
 # cold and pre-warmed stores. Injected errors must degrade to an uncached
 # build with golden output; crashes must leave the store empty-or-valid,
 # proven by a golden-identical recovery run with zero verify failures.
 #
 # Usage: kill_matrix.sh <cable-cli> <workdir> [spec-lint]
-#   KILL_MATRIX_PHASE          session (default), shard, or cache
+#   KILL_MATRIX_PHASE          session (default) or cache
 #   KILL_MATRIX_INDICES        override the trigger indices (default spread)
 #   KILL_MATRIX_POINTS         override the failpoint list (default: all)
-#   KILL_MATRIX_SHARD_INDICES  override the shard trigger indices
-#   KILL_MATRIX_SHARD_WORKERS  override the shard worker counts
 #   KILL_MATRIX_CACHE_INDICES  override the cache trigger indices
 #
 #===------------------------------------------------------------------------===#
@@ -90,8 +74,8 @@ CHECK_OBS=$(cd "$(dirname "$0")/../integration" && pwd)/check_observability.py
 
 assert_dump() { # assert_dump <tag> <failpoint> -> sets fail on violation
   local tag=$1 p=$2 dump
-  # Hung/SIGKILLed processes leave the pre-opened file empty; a crash
-  # that went through the dumper leaves a nonempty document.
+  # A SIGKILLed process leaves the pre-opened file empty; a crash that
+  # went through the dumper leaves a nonempty document.
   dump=$(find D -name 'crash.*.json' -size +0c 2>/dev/null | head -1)
   if [ -z "$dump" ]; then
     say "FAIL $tag: injected crash left no flight-recorder dump"
@@ -106,122 +90,6 @@ assert_dump() { # assert_dump <tag> <failpoint> -> sets fail on violation
     fail=1
   fi
 }
-
-#===------------------------------------------------------------------------===#
-# Phase: shard — the multi-process worker-lifecycle matrix.
-#===------------------------------------------------------------------------===#
-
-if [ "$PHASE" = shard ]; then
-  if [ -z "$LINT" ]; then
-    say "FATAL: KILL_MATRIX_PHASE=shard needs a spec-lint path (third argument)"
-    exit 1
-  fi
-  LFLAGS="--spec $DATA/stdio_buggy.fa --traces $DATA/stdio_traces.txt --threads 2"
-  SITES="shard-pre-fork shard-post-compute shard-pre-reply shard-mid-frame"
-  SHARD_INDICES=${KILL_MATRIX_SHARD_INDICES:-"1 2"}
-  SHARD_WORKERS=${KILL_MATRIX_SHARD_WORKERS:-"1 2 4 8"}
-
-  # Golden serial violation lattice. spec-lint exits 1 when violations
-  # exist; every sharded run must reproduce both the exit code and the
-  # DOT bytes.
-  $LINT $LFLAGS --dot golden.dot > golden.out 2>&1
-  golden_rc=$?
-  if [ ! -s golden.dot ]; then
-    say "FATAL: golden spec-lint run produced no DOT output:"
-    cat golden.out
-    exit 1
-  fi
-
-  fail=0
-  cases=0
-  faulted=0
-
-  # One shard-matrix case: site, mode, index, workers, per-shard timeout.
-  shard_case() {
-    local p=$1 mode=$2 n=$3 w=$4 tmo=$5
-    cases=$((cases + 1))
-    rm -f out.dot m.json
-    rm -rf D && mkdir D
-    CABLE_FAILPOINTS="$p=$mode@$n" CABLE_CRASH_DIR="$PWD/D" \
-      $LINT $LFLAGS --shard-workers "$w" --shard-timeout "$tmo" \
-      --shard-retries 2 --dot out.dot --metrics-out m.json > run.out 2>&1
-    local rc=$?
-    local tag="$p=$mode@$n w=$w"
-    if [ $rc -ne $golden_rc ]; then
-      say "FAIL $tag: exit $rc, golden exited $golden_rc"
-      tail -5 run.out
-      fail=1
-      return
-    fi
-    if ! cmp -s golden.dot out.dot; then
-      say "FAIL $tag: sharded violation lattice differs from serial golden"
-      diff golden.dot out.dot | head -10
-      fail=1
-      return
-    fi
-    # Telemetry ledger: every dispatched block's flush is either merged
-    # or accounted as lost — faults may destroy worker telemetry but must
-    # never let it vanish silently. A timed-out slot always had a block
-    # in flight, so its flush necessarily lands in the lost column.
-    local merged lost dispatched
-    merged=$(metric_val m.json shard.telemetry-merged)
-    lost=$(metric_val m.json shard.telemetry-lost)
-    dispatched=$(metric_val m.json shard.blocks-dispatched)
-    if [ $((merged + lost)) -lt "$dispatched" ]; then
-      say "FAIL $tag: telemetry leak: merged=$merged + lost=$lost < dispatched=$dispatched"
-      cat m.json
-      fail=1
-      return
-    fi
-    if metric_ge1 m.json shard.timed-out && [ "$lost" -lt 1 ]; then
-      say "FAIL $tag: timed-out worker but no telemetry accounted as lost"
-      cat m.json
-      fail=1
-      return
-    fi
-    # The fault is real only if the supervisor saw it (a worker's own hit
-    # counters die with the worker; an @N index a short-lived worker never
-    # reaches leaves a clean run, which is still a valid identity case).
-    if metric_ge1 m.json shard.worker-crashes ||
-       metric_ge1 m.json shard.timed-out ||
-       metric_ge1 m.json shard.error-replies ||
-       metric_ge1 m.json shard.frames-rejected; then
-      faulted=$((faulted + 1))
-      if ! metric_ge1 m.json shard.retries &&
-         ! metric_ge1 m.json shard.reassigned &&
-         ! metric_ge1 m.json shard.degraded-blocks &&
-         ! metric_ge1 m.json shard.degraded-builds; then
-        say "FAIL $tag: fault evidence but no recovery counters"
-        cat m.json
-        fail=1
-      fi
-    fi
-    # A crashed worker's flight recorder must have fired before _Exit;
-    # hang cases are SIGKILLed and rightly leave no dump.
-    if [ "$mode" = crash ] && metric_ge1 m.json shard.worker-crashes; then
-      assert_dump "$tag" "$p"
-    fi
-  }
-
-  for p in $SITES; do
-    for mode in crash error; do
-      for n in $SHARD_INDICES; do
-        for w in $SHARD_WORKERS; do
-          shard_case "$p" "$mode" "$n" "$w" 30000
-        done
-      done
-    done
-    # Wedged workers: a short deadline keeps the timeout/kill/reassign
-    # sweep bounded (each hung attempt costs one deadline).
-    shard_case "$p" hang 1 2 500
-  done
-
-  say "shard kill matrix: $cases case(s), $faulted with observed faults, $((cases - faulted)) never triggered"
-  if [ $fail -eq 0 ]; then
-    say "shard kill matrix: PASS"
-  fi
-  exit $fail
-fi
 
 #===------------------------------------------------------------------------===#
 # Phase: cache — the lattice artifact-store matrix.

@@ -5,21 +5,13 @@ cable-metrics/1 snapshot, and a cable-run-report/1 document — plus the
 black-box artifacts of the logging layer.
 
 Usage:
-  check_observability.py TRACE METRICS REPORT [--sharded SERIAL_METRICS]
-  check_observability.py --log FILE [--multiproc]
+  check_observability.py TRACE METRICS REPORT
+  check_observability.py --log FILE
   check_observability.py --crashdump FILE [--expect-failpoint NAME]
 
-With --sharded the run used --shard-workers: the trace must additionally
-stitch every worker process onto its own named pid track with complete
-dispatch -> compute -> merge flow chains, the report must carry the
-`sharded` section, and counter conservation is asserted against a serial
-run's metrics snapshot (fault-free merged lattice.closures equals the
-serial builder's count exactly).
-
 With --log the file must be cable-log/1 JSONL: a header object followed
-by records sorted by (pid, seq) with per-pid strictly increasing
-sequence numbers; --multiproc additionally requires records from more
-than one pid (a merged supervisor+worker log).
+by records from the header's pid with strictly increasing sequence
+numbers.
 
 With --crashdump the file must be one cable-crashdump/1 JSON document;
 --expect-failpoint NAME additionally requires the captured log tail to
@@ -38,82 +30,11 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_sharded_trace(events):
-    """One named track per process, flow arrows crossing pid tracks."""
-    proc_names = {}
-    for ev in events:
-        if ev.get("name") == "process_name":
-            pid = ev["pid"]
-            if pid in proc_names:
-                fail("pid %d named twice" % pid)
-            proc_names[pid] = ev["args"]["name"]
-    supervisors = [p for p, n in proc_names.items()
-                   if not n.startswith("shard-worker-")]
-    workers = {p for p, n in proc_names.items()
-               if n.startswith("shard-worker-")}
-    if len(supervisors) != 1:
-        fail("expected exactly one supervisor track, have %r" % proc_names)
-    if not workers:
-        fail("no shard-worker pid tracks in %r" % proc_names)
-    sup = supervisors[0]
-    for ev in events:
-        if ev["pid"] not in proc_names:
-            fail("event on unnamed pid %d: %r" % (ev["pid"], ev))
-
-    # Every flow id must form a complete chain: 's' (dispatch) and 'f'
-    # (merge) on the supervisor track, 't' (compute) on a worker track.
-    flows = {}
-    for ev in events:
-        if ev["ph"] in ("s", "t", "f"):
-            flows.setdefault(ev["id"], {})[ev["ph"]] = ev["pid"]
-    if not flows:
-        fail("no flow events in a sharded trace")
-    for fid, chain in flows.items():
-        if sorted(chain) != ["f", "s", "t"]:
-            fail("flow %r incomplete: %r" % (fid, chain))
-        if chain["s"] != sup or chain["f"] != sup:
-            fail("flow %r dispatch/merge not on the supervisor" % fid)
-        if chain["t"] not in workers:
-            fail("flow %r compute not on a worker track" % fid)
-    worker_spans = [ev for ev in events
-                    if ev["ph"] == "X" and ev["pid"] in workers]
-    if not any(ev["name"] == "shard-block" for ev in worker_spans):
-        fail("no shard-block span on any worker track")
-    return len(workers), len(flows)
-
-
-def check_sharded_ledger(counters, report, serial_counters):
-    """Counter conservation and the report's sharded section."""
-    for name in ("lattice.closures", "lattice.concepts"):
-        got, want = counters.get(name, 0), serial_counters.get(name, 0)
-        if got != want:
-            fail("%s not conserved: sharded merged %d != serial %d"
-                 % (name, got, want))
-    if counters.get("shard.telemetry-lost", 0) != 0:
-        fail("fault-free run lost telemetry: %r"
-             % counters.get("shard.telemetry-lost"))
-    merged = counters.get("shard.telemetry-merged", 0)
-    dispatched = counters.get("shard.blocks-dispatched", 0)
-    if dispatched <= 0:
-        fail("no blocks dispatched in a sharded run")
-    if merged < dispatched:
-        fail("merged flushes %d < dispatched blocks %d"
-             % (merged, dispatched))
-    sharded = report.get("sharded")
-    if not sharded:
-        fail("run report missing the sharded section")
-    if sharded["flushes_lost"] != 0 or sharded["workers"] <= 0:
-        fail("bad sharded section %r" % sharded)
-    if sum(sharded["blocks_per_worker"]) != sharded["blocks_dispatched"]:
-        fail("per-worker attribution %r does not cover %d dispatched"
-             % (sharded["blocks_per_worker"], sharded["blocks_dispatched"]))
-
-
 LEVELS = ("debug", "info", "warn", "error")
 
 
-def check_log(path, multiproc):
-    """cable-log/1 JSONL: header, then records sorted by (pid, seq)."""
+def check_log(path):
+    """cable-log/1 JSONL: header, then this process's records by seq."""
     lines = [ln for ln in open(path).read().splitlines() if ln]
     if not lines:
         fail("log file is empty")
@@ -135,8 +56,7 @@ def check_log(path, multiproc):
     if header.get("dropped", 0) < 0:
         fail("negative dropped count %r" % header["dropped"])
 
-    last = {}  # pid -> last seq
-    prev_pid = None
+    last = None
     for rec in records:
         for key in ("seq", "pid", "tid", "t_us", "level", "event",
                     "subsystem", "msg"):
@@ -148,23 +68,14 @@ def check_log(path, multiproc):
             if not code or not all(c.islower() or c.isdigit() or c == "-"
                                    for c in code):
                 fail("event/subsystem not kebab-case: %r" % code)
-        pid = rec["pid"]
-        # Export order is (pid, seq): pid blocks never interleave, and
-        # within a pid the sequence is strictly increasing — one coherent
-        # per-process story even in a merged multi-process log.
-        if prev_pid is not None and pid != prev_pid and pid in last:
-            fail("pid %d appears in two separate blocks" % pid)
-        if pid in last and rec["seq"] <= last[pid]:
-            fail("pid %d seq not increasing: %d after %d"
-                 % (pid, rec["seq"], last[pid]))
-        last[pid] = rec["seq"]
-        prev_pid = pid
-    if multiproc and len(last) < 2:
-        fail("merged log has records from %d pid(s), expected several"
-             % len(last))
-    print("check_observability: OK (log: %d records from %d pid(s), "
-          "%s dropped)" % (len(records), len(last),
-                           header.get("dropped", "?")))
+        if rec["pid"] != header["pid"]:
+            fail("record pid %d is not the header's %d"
+                 % (rec["pid"], header["pid"]))
+        if last is not None and rec["seq"] <= last:
+            fail("seq not increasing: %d after %d" % (rec["seq"], last))
+        last = rec["seq"]
+    print("check_observability: OK (log: %d records, %s dropped)"
+          % (len(records), header.get("dropped", "?")))
 
 
 def check_crashdump(path, expect_failpoint):
@@ -207,8 +118,8 @@ def check_crashdump(path, expect_failpoint):
 def main():
     if len(sys.argv) > 1 and sys.argv[1] == "--log":
         if len(sys.argv) < 3:
-            fail("usage: --log FILE [--multiproc]")
-        check_log(sys.argv[2], "--multiproc" in sys.argv[3:])
+            fail("usage: --log FILE")
+        check_log(sys.argv[2])
         return
     if len(sys.argv) > 1 and sys.argv[1] == "--crashdump":
         if len(sys.argv) < 3:
@@ -222,12 +133,9 @@ def main():
         check_crashdump(sys.argv[2], expect)
         return
 
+    if len(sys.argv) != 4:
+        fail("usage: TRACE METRICS REPORT")
     trace_path, metrics_path, report_path = sys.argv[1:4]
-    serial_metrics_path = None
-    if len(sys.argv) > 4:
-        if sys.argv[4] != "--sharded" or len(sys.argv) < 6:
-            fail("usage: TRACE METRICS REPORT [--sharded SERIAL_METRICS]")
-        serial_metrics_path = sys.argv[5]
     trace = json.load(open(trace_path))
     metrics = json.load(open(metrics_path))
     report = json.load(open(report_path))
@@ -236,9 +144,8 @@ def main():
     events = trace["traceEvents"]
     if not isinstance(events, list) or not events:
         fail("traceEvents missing or empty")
-    phases = ("X", "M", "s", "t", "f") if serial_metrics_path else ("X", "M")
     for ev in events:
-        if ev["ph"] not in phases:
+        if ev["ph"] not in ("X", "M"):
             fail("unexpected event phase %r" % ev["ph"])
         if ev["ph"] == "X" and (ev["ts"] < 0 or ev["dur"] < 0):
             fail("negative ts/dur in %r" % ev)
@@ -280,17 +187,6 @@ def main():
     for key in ("version", "git_sha", "build_type"):
         if key not in report:
             fail("report missing %r" % key)
-
-    # --- multi-process stitching and conservation.
-    if serial_metrics_path:
-        serial = json.load(open(serial_metrics_path))
-        num_workers, num_flows = check_sharded_trace(events)
-        check_sharded_ledger(counters, report,
-                             serial["metrics"]["counters"])
-        print("check_observability: OK (%d trace events, %d counters, "
-              "%d worker tracks, %d flow chains)"
-              % (len(events), len(counters), num_workers, num_flows))
-        return
 
     print("check_observability: OK (%d trace events, %d counters)"
           % (len(events), len(counters)))

@@ -77,6 +77,7 @@ TEST_F(FailpointTest, ReconfigureReplaces) {
 TEST_F(FailpointTest, MalformedSpecsRejected) {
   EXPECT_FALSE(Failpoint::configure("test-point").isOk());
   EXPECT_FALSE(Failpoint::configure("test-point=explode").isOk());
+  EXPECT_FALSE(Failpoint::configure("test-point=hang").isOk());
   EXPECT_FALSE(Failpoint::configure("test-point=crash@").isOk());
   EXPECT_FALSE(Failpoint::configure("test-point=crash@0").isOk());
   EXPECT_FALSE(Failpoint::configure("=error").isOk());

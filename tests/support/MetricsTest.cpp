@@ -196,119 +196,4 @@ TEST_F(MetricsTest, MetricTimerRecordsOnlyWhenArmed) {
   EXPECT_EQ(H.count(), 1u);
 }
 
-// -- Telemetry delta / merge / wire round-trip (the shard flush path) ------
-
-/// Finds a sample by name; nullptr when the delta dropped it as unchanged.
-const Metrics::Sample *findSample(const std::vector<Metrics::Sample> &Samples,
-                                  std::string_view Name) {
-  for (const Metrics::Sample &S : Samples)
-    if (S.Name == Name)
-      return &S;
-  return nullptr;
-}
-
-TEST_F(MetricsTest, DeltaSinceReportsOnlyChangedSamples) {
-  Metrics::counter("test.delta-unchanged").add(5);
-  Metrics::Counter &C = Metrics::counter("test.delta-counter");
-  C.add(10);
-  std::vector<Metrics::Sample> Baseline = Metrics::snapshot();
-  C.add(7);
-  Metrics::histogram("test.delta-histogram").record(3);
-  std::vector<Metrics::Sample> Delta = Metrics::deltaSince(Baseline);
-  EXPECT_EQ(findSample(Delta, "test.delta-unchanged"), nullptr);
-  const Metrics::Sample *DC = findSample(Delta, "test.delta-counter");
-  ASSERT_NE(DC, nullptr);
-  EXPECT_EQ(DC->Count, 7u); // The delta, not the absolute 17.
-  const Metrics::Sample *DH = findSample(Delta, "test.delta-histogram");
-  ASSERT_NE(DH, nullptr);
-  EXPECT_EQ(DH->Count, 1u);
-}
-
-TEST_F(MetricsTest, MergeDeltaAddsCountersAndHistogramBuckets) {
-  Metrics::Counter &C = Metrics::counter("test.merge-counter");
-  Metrics::Histogram &H = Metrics::histogram("test.merge-histogram");
-  C.add(100);
-  H.record(2);
-  std::vector<Metrics::Sample> Baseline = Metrics::snapshot();
-  C.add(11);
-  H.record(2);
-  H.record(1000);
-  std::vector<Metrics::Sample> Delta = Metrics::deltaSince(Baseline);
-  // Merging a worker's delta on top of the same registry doubles the
-  // post-baseline work, exactly what a supervisor + one worker doing the
-  // same increments would report.
-  Metrics::mergeDelta(Delta);
-  EXPECT_EQ(C.value(), 122u);
-  EXPECT_EQ(H.count(), 5u);
-  EXPECT_EQ(H.max(), 1000u);
-  // Bucket(2) saw one pre-baseline and one post-baseline record; the
-  // merged delta adds the post-baseline one again: 2 + 1.
-  EXPECT_EQ(H.bucketCount(Metrics::Histogram::bucketIndex(2)), 3u);
-}
-
-TEST_F(MetricsTest, MergeDeltaGaugeKeepsHighWater) {
-  Metrics::Gauge &G = Metrics::gauge("test.merge-gauge");
-  G.addHighWater(3);
-  G.add(-3);
-  std::vector<Metrics::Sample> Delta;
-  Metrics::Sample S;
-  S.Name = "test.merge-gauge";
-  S.K = Metrics::Sample::KindGauge;
-  S.Value = 2;
-  S.High = 9;
-  Delta.push_back(S);
-  Metrics::mergeDelta(Delta);
-  EXPECT_EQ(G.value(), 2);  // High-water policy: max(0, 2).
-  EXPECT_EQ(G.high(), 9);   // max(3, 9).
-}
-
-TEST_F(MetricsTest, MergeDeltaSkipsKindMismatch) {
-  Metrics::counter("test.merge-kind").add(4);
-  std::vector<Metrics::Sample> Delta;
-  Metrics::Sample S;
-  S.Name = "test.merge-kind";
-  S.K = Metrics::Sample::KindGauge; // A lying worker.
-  S.Value = 99;
-  Delta.push_back(S);
-  Metrics::mergeDelta(Delta); // Must not abort or clobber.
-  EXPECT_EQ(Metrics::counterValue("test.merge-kind"), 4u);
-}
-
-TEST_F(MetricsTest, EncodeDecodeSamplesRoundTrips) {
-  Metrics::counter("test.wire-counter").add(42);
-  Metrics::gauge("test.wire-gauge").addHighWater(17);
-  Metrics::Histogram &H = Metrics::histogram("test.wire-histogram");
-  H.record(0);
-  H.record(5);
-  H.record(1 << 20);
-  std::vector<Metrics::Sample> Samples = Metrics::snapshot();
-  std::string Wire = Metrics::encodeSamples(Samples);
-  std::vector<Metrics::Sample> Decoded;
-  ASSERT_TRUE(Metrics::decodeSamples(Wire, Decoded));
-  ASSERT_EQ(Decoded.size(), Samples.size());
-  for (size_t I = 0; I < Samples.size(); ++I) {
-    EXPECT_EQ(Decoded[I].Name, Samples[I].Name);
-    EXPECT_EQ(Decoded[I].K, Samples[I].K);
-    EXPECT_EQ(Decoded[I].Count, Samples[I].Count);
-    EXPECT_EQ(Decoded[I].Value, Samples[I].Value);
-    EXPECT_EQ(Decoded[I].High, Samples[I].High);
-    EXPECT_EQ(Decoded[I].Sum, Samples[I].Sum);
-    EXPECT_EQ(Decoded[I].Max, Samples[I].Max);
-    EXPECT_EQ(Decoded[I].Buckets, Samples[I].Buckets);
-  }
-}
-
-TEST_F(MetricsTest, DecodeSamplesRejectsMalformedBytes) {
-  std::vector<Metrics::Sample> Out;
-  EXPECT_FALSE(Metrics::decodeSamples("xyz", Out));
-  Metrics::counter("test.wire-reject").add(1);
-  std::string Wire = Metrics::encodeSamples(Metrics::snapshot());
-  // Truncation and trailing garbage both fail the strict decode.
-  EXPECT_FALSE(
-      Metrics::decodeSamples(std::string_view(Wire).substr(0, Wire.size() - 1),
-                             Out));
-  EXPECT_FALSE(Metrics::decodeSamples(Wire + "x", Out));
-  EXPECT_TRUE(Metrics::decodeSamples(Wire, Out));
-}
-
 } // namespace

@@ -104,8 +104,6 @@ TEST_F(TraceEventTest, SpansFromWorkerThreadsGetDistinctTids) {
   EXPECT_NE(Json.find("\"worker-thread\""), std::string::npos);
 }
 
-// -- Cross-process stitching (drain / ingest / flow events) ---------------
-
 TEST_F(TraceEventTest, RingWraparoundTicksSpansDroppedCounter) {
   Metrics::reset();
   Metrics::setEnabled(true);
@@ -118,94 +116,6 @@ TEST_F(TraceEventTest, RingWraparoundTicksSpansDroppedCounter) {
   EXPECT_EQ(Metrics::counterValue("trace.spans-dropped"), 6u);
   Metrics::setEnabled(false);
   Metrics::reset();
-}
-
-TEST_F(TraceEventTest, DrainSpansEmptiesRingsAndCarriesMetadata) {
-  TraceLog::setThreadName("drain-thread");
-  { TraceSpan Span("drain-span", 17); }
-  TraceLog::recordFlow(99, 't');
-  std::vector<TraceLog::RawSpan> Spans = TraceLog::drainSpans();
-  ASSERT_EQ(Spans.size(), 2u);
-  EXPECT_EQ(Spans[0].Name, "drain-span");
-  EXPECT_EQ(Spans[0].Arg, 17);
-  EXPECT_TRUE(Spans[0].HasArg);
-  EXPECT_EQ(Spans[0].FlowPhase, 0);
-  EXPECT_EQ(Spans[0].ThreadName, "drain-thread");
-  EXPECT_EQ(Spans[1].FlowPhase, 't');
-  EXPECT_EQ(Spans[1].FlowId, 99u);
-  // A second drain finds the rings empty; the cumulative span count
-  // survives the drain.
-  EXPECT_TRUE(TraceLog::drainSpans().empty());
-  EXPECT_GE(TraceLog::spanCount(), 2u);
-}
-
-TEST_F(TraceEventTest, IngestRemoteExportsPerPidTracks) {
-  { TraceSpan Span("supervisor-span"); }
-  TraceLog::RawSpan Remote;
-  Remote.Name = "remote-span";
-  Remote.StartUs = 5;
-  Remote.DurUs = 10;
-  Remote.Tid = 0;
-  Remote.ThreadName = "remote-main";
-  TraceLog::ingestRemote(4242, "shard-worker-0", {Remote});
-  std::string Json = TraceLog::exportJson("trace-test");
-  std::string Error;
-  EXPECT_TRUE(validateJson(Json, Error)) << Error << "\n" << Json;
-  EXPECT_NE(Json.find("\"remote-span\""), std::string::npos);
-  EXPECT_NE(Json.find("\"pid\": 4242"), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"shard-worker-0\""), std::string::npos);
-  EXPECT_NE(Json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(Json.find("\"remote-main\""), std::string::npos);
-}
-
-TEST_F(TraceEventTest, FlowEventsExportWithSharedIdAndBindingPoint) {
-  {
-    TraceSpan Dispatch("flow-dispatch");
-    TraceLog::recordFlow(7, 's');
-  }
-  TraceLog::RawSpan Step;
-  Step.Name = "shard-flow";
-  Step.StartUs = 3;
-  Step.FlowPhase = 't';
-  Step.FlowId = 7;
-  TraceLog::ingestRemote(999, "shard-worker-1", {Step});
-  {
-    TraceSpan Merge("flow-merge");
-    TraceLog::recordFlow(7, 'f');
-  }
-  std::string Json = TraceLog::exportJson("trace-test");
-  std::string Error;
-  EXPECT_TRUE(validateJson(Json, Error)) << Error << "\n" << Json;
-  EXPECT_NE(Json.find("\"ph\": \"s\""), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"ph\": \"t\""), std::string::npos);
-  EXPECT_NE(Json.find("\"ph\": \"f\""), std::string::npos);
-  // The flow finish must carry bp:e so Perfetto binds it to the
-  // enclosing slice rather than the next one.
-  EXPECT_NE(Json.find("\"bp\": \"e\""), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"id\": 7"), std::string::npos);
-  EXPECT_NE(Json.find("\"cat\": \"shard\""), std::string::npos);
-}
-
-TEST_F(TraceEventTest, IngestRemoteFoldsRemoteDropsIntoDroppedCount) {
-  uint64_t Before = TraceLog::droppedCount();
-  TraceLog::ingestRemote(777, "shard-worker-2", {}, 5);
-  EXPECT_EQ(TraceLog::droppedCount() - Before, 5u);
-}
-
-TEST_F(TraceEventTest, ResetAfterForkClearsLocalAndForeignSpans) {
-  { TraceSpan Span("pre-fork-span"); }
-  TraceLog::RawSpan Remote;
-  Remote.Name = "pre-fork-foreign";
-  TraceLog::ingestRemote(31337, "shard-worker-3", {Remote});
-  TraceLog::resetAfterFork();
-  EXPECT_TRUE(TraceLog::drainSpans().empty());
-  std::string Json = TraceLog::exportJson("trace-test");
-  EXPECT_EQ(Json.find("pre-fork-span"), std::string::npos);
-  EXPECT_EQ(Json.find("pre-fork-foreign"), std::string::npos);
-  // The log stays usable after the clear.
-  { TraceSpan Span("post-fork-span"); }
-  EXPECT_NE(TraceLog::exportJson("t").find("post-fork-span"),
-            std::string::npos);
 }
 
 } // namespace

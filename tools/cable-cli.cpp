@@ -45,16 +45,13 @@
 #include "support/RNG.h"
 #include "support/RunReport.h"
 #include "support/StringUtil.h"
-#include "support/Subprocess.h"
 #include "support/TraceEvent.h"
 #include "workload/Generator.h"
 #include "workload/Oracle.h"
 #include "workload/ReferenceFA.h"
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -87,19 +84,6 @@ void printUsage() {
       "  --threads N        lattice-construction workers (0 = hardware\n"
       "                     concurrency, 1 = serial; same lattice either\n"
       "                     way; default 0)\n"
-      "  --shard-workers N  build the lattice in N crash-isolated worker\n"
-      "                     processes under a supervising parent (0 = off,\n"
-      "                     the default); identical lattice at any worker\n"
-      "                     count, degrading in-process when forking is\n"
-      "                     unavailable or workers keep failing; worker\n"
-      "                     metrics and trace spans are merged back into\n"
-      "                     the --stats/--metrics-out/--trace-out views\n"
-      "  --shard-timeout MS per-shard deadline before a wedged worker is\n"
-      "                     killed and its partition reassigned\n"
-      "                     (default 30000)\n"
-      "  --shard-retries N  retries per partition beyond the first attempt\n"
-      "                     before it is computed in the supervisor\n"
-      "                     (default 3)\n"
       "\n"
       "lattice cache:\n"
       "  --cache-dir DIR    content-addressed lattice artifact store: a\n"
@@ -148,16 +132,11 @@ void printUsage() {
       "  --metrics-out FILE write a cable-metrics/1 JSON snapshot at exit\n"
       "  --trace-out FILE   record tracing spans and write Chrome\n"
       "                     trace-event JSON at exit (open in Perfetto or\n"
-      "                     chrome://tracing); with --shard-workers the\n"
-      "                     file shows every worker process as its own\n"
-      "                     track, flow arrows linking each block's\n"
-      "                     dispatch -> compute -> merge\n"
+      "                     chrome://tracing)\n"
       "  --run-report FILE  write a cable-run-report/1 JSON document (tool,\n"
-      "                     argv, build stamp, metrics, truncation, and a\n"
-      "                     sharded section for multi-process runs) at exit\n"
+      "                     argv, build stamp, metrics, truncation) at exit\n"
       "  --log-out FILE     write structured cable-log/1 JSONL at exit\n"
-      "                     (default: $CABLE_LOG, else off); with\n"
-      "                     --shard-workers, one merged multi-process log\n"
+      "                     (default: $CABLE_LOG, else off)\n"
       "  --log-level LEVEL  debug|info|warn|error (default info)\n"
       "                     $CABLE_CRASH_DIR=DIR arms the flight recorder:\n"
       "                     a fatal signal, std::terminate, or injected\n"
@@ -636,40 +615,6 @@ void emitObservability(int ExitCode) {
   }
 }
 
-/// Journal log fd for the signal handler; -1 when no journal is open.
-volatile sig_atomic_t GJournalFd = -1;
-
-/// SIGINT/SIGTERM: make the journal durable and die. Every applied
-/// command was already fsynced before it ran (write-ahead), so this is
-/// belt and braces; fsync and _exit are both async-signal-safe. Ctrl-C
-/// therefore never loses labels.
-extern "C" void onTerminateSignal(int Sig) {
-  // Take any live shard workers down with the supervisor (kill(2) is
-  // async-signal-safe) so Ctrl-C never leaks orphan processes.
-  Subprocess::killActiveFromSignalHandler();
-  int Fd = GJournalFd;
-  if (Fd >= 0)
-    ::fsync(Fd);
-  // Flush the requested observability artifacts through the signal-safe
-  // writer (crash-ring log records, crash-index metrics) so an
-  // interrupted run still leaves evidence instead of empty paths.
-  CrashDump::writeArtifactsFromSignal(128 + Sig);
-  ::_exit(128 + Sig);
-}
-
-void installSignalHandlers() {
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onTerminateSignal;
-  ::sigaction(SIGINT, &SA, nullptr);
-  ::sigaction(SIGTERM, &SA, nullptr);
-  // A dead pipe reader (a closed pager, a crashed shard worker's socket)
-  // must surface as an EPIPE error status, not kill the process.
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = SIG_IGN;
-  ::sigaction(SIGPIPE, &SA, nullptr);
-}
-
 /// Snapshot + compact when due. Only base-level state is snapshotted, so
 /// while a Focus sub-session is open compaction waits (the journal tail
 /// still holds the focus commands and replays them on recovery).
@@ -692,10 +637,9 @@ void maybeSnapshot(CliState &Cli, bool Force) {
 
 int runCli(int Argc, char **Argv) {
   // Installed before any work: SIGPIPE must be ignored from the first
-  // write (a dead pipe reader is an EPIPE status, not a process death),
-  // and SIGINT/SIGTERM must reap shard workers even without a journal.
-  // Re-installed harmlessly when a journal opens and GJournalFd is live.
-  installSignalHandlers();
+  // write (a dead pipe reader is an EPIPE status, not a process death).
+  // Re-installed with the journal's fd once a journal opens.
+  CrashDump::installTerminateHandlers();
   for (int I = 1; I < Argc; ++I)
     GObs.Args.emplace_back(Argv[I]);
   if (Status St = Failpoint::configureFromEnv(); !St.isOk()) {
@@ -799,21 +743,6 @@ int runCli(int Argc, char **Argv) {
       if (!NextNumber("--threads", N))
         return 1;
       BuildOpts.NumThreads = static_cast<unsigned>(*N);
-    } else if (Arg == "--shard-workers") {
-      std::optional<unsigned long> N;
-      if (!NextNumber("--shard-workers", N))
-        return 1;
-      BuildOpts.ShardWorkers = static_cast<unsigned>(*N);
-    } else if (Arg == "--shard-timeout") {
-      std::optional<unsigned long> N;
-      if (!NextNumber("--shard-timeout", N))
-        return 1;
-      BuildOpts.ShardTimeout = std::chrono::milliseconds(*N);
-    } else if (Arg == "--shard-retries") {
-      std::optional<unsigned long> N;
-      if (!NextNumber("--shard-retries", N))
-        return 1;
-      BuildOpts.ShardRetries = static_cast<unsigned>(*N);
     } else if (Arg == "--time-budget") {
       std::optional<unsigned long> N;
       if (!NextNumber("--time-budget", N))
@@ -1026,8 +955,7 @@ int runCli(int Argc, char **Argv) {
                                      : JournalSync == "batch";
     Cli.Wal.setSyncPolicy(Batch ? Journal::SyncPolicy::Batched
                                 : Journal::SyncPolicy::EveryRecord);
-    GJournalFd = Cli.Wal.fd();
-    installSignalHandlers();
+    CrashDump::installTerminateHandlers(Cli.Wal.fd());
     if (!Rec.TornTail.isOk())
       std::fprintf(stderr, "%s\n", Rec.TornTail.diagnostic().render().c_str());
     if (Rec.HasSnapshot) {
@@ -1147,7 +1075,7 @@ int runCli(int Argc, char **Argv) {
   // open — then the log tail carries it) and drop the ACTIVE marker.
   if (Cli.Wal.isOpen()) {
     maybeSnapshot(Cli, /*Force=*/true);
-    GJournalFd = -1;
+    CrashDump::installTerminateHandlers();
     if (Status St = Cli.Wal.closeClean(); !St.isOk())
       std::fprintf(stderr, "%s\n", St.diagnostic().render().c_str());
   }

@@ -36,19 +36,14 @@
 #include "support/Metrics.h"
 #include "support/RunReport.h"
 #include "support/StringUtil.h"
-#include "support/Subprocess.h"
 #include "support/TraceEvent.h"
 #include "verifier/Verifier.h"
 
 #include <cstdarg>
 #include <cstdlib>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
-
-#include <csignal>
-#include <unistd.h>
 
 using namespace cable;
 
@@ -105,18 +100,6 @@ void printUsage() {
       "  --dot FILE         write the violation lattice as Graphviz DOT\n"
       "  --threads N        lattice-construction workers (0 = hardware\n"
       "                     concurrency, 1 = serial; default 0)\n"
-      "  --shard-workers N  cluster violations in N crash-isolated worker\n"
-      "                     processes (0 = off, the default); identical\n"
-      "                     result at any worker count, degrading\n"
-      "                     in-process when workers keep failing; worker\n"
-      "                     telemetry is merged into the parent's metrics\n"
-      "                     and trace\n"
-      "  --shard-timeout MS per-shard deadline before a wedged worker is\n"
-      "                     killed and its partition reassigned\n"
-      "                     (default 30000)\n"
-      "  --shard-retries N  retries per partition beyond the first attempt\n"
-      "                     before it is computed in the supervisor\n"
-      "                     (default 3)\n"
       "  --time-budget MS   wall-clock limit per pipeline phase (scenario\n"
       "                     checking, violation clustering)\n"
       "  --max-concepts N   stop clustering after enumerating N concepts\n"
@@ -139,14 +122,10 @@ void printUsage() {
       "  --stats            print the metrics table before exiting\n"
       "  --metrics-out FILE write a cable-metrics/1 JSON snapshot at exit\n"
       "  --trace-out FILE   record tracing spans, write Chrome trace-event\n"
-      "                     JSON at exit (Perfetto / chrome://tracing);\n"
-      "                     sharded runs show one track per worker process\n"
-      "                     with dispatch -> compute -> merge flow arrows\n"
-      "  --run-report FILE  write a cable-run-report/1 JSON document, with\n"
-      "                     a sharded section for multi-process runs\n"
+      "                     JSON at exit (Perfetto / chrome://tracing)\n"
+      "  --run-report FILE  write a cable-run-report/1 JSON document\n"
       "  --log-out FILE     write structured cable-log/1 JSONL at exit\n"
-      "                     (default: $CABLE_LOG, else off); sharded runs\n"
-      "                     merge worker records into one log\n"
+      "                     (default: $CABLE_LOG, else off)\n"
       "  --log-level LEVEL  debug|info|warn|error (default info)\n"
       "                     $CABLE_CRASH_DIR=DIR arms the flight recorder:\n"
       "                     a fatal signal, std::terminate, or injected\n"
@@ -202,34 +181,8 @@ void emitObservability(int ExitCode) {
   }
 }
 
-/// SIGINT/SIGTERM: take any live shard workers down with the process and
-/// die with the conventional 128+signal code. Report/DOT outputs go
-/// through AtomicFile (write-temp + fsync + rename), so there is no
-/// half-written state to make durable — a partially rendered report
-/// simply never replaces the previous file.
-extern "C" void onTerminateSignal(int Sig) {
-  Subprocess::killActiveFromSignalHandler();
-  // Flush --metrics-out/--run-report/--log-out through the signal-safe
-  // writer; an interrupted lint leaves evidence, not empty paths.
-  CrashDump::writeArtifactsFromSignal(128 + Sig);
-  ::_exit(128 + Sig);
-}
-
-void installSignalHandlers() {
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onTerminateSignal;
-  ::sigaction(SIGINT, &SA, nullptr);
-  ::sigaction(SIGTERM, &SA, nullptr);
-  // A dead pipe reader (a closed pager, a crashed shard worker's socket)
-  // must surface as an EPIPE error status, not kill the process.
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = SIG_IGN;
-  ::sigaction(SIGPIPE, &SA, nullptr);
-}
-
 int runLint(int Argc, char **Argv) {
-  installSignalHandlers();
+  CrashDump::installTerminateHandlers();
   for (int I = 1; I < Argc; ++I)
     GObs.Args.emplace_back(Argv[I]);
   if (Status St = Failpoint::configureFromEnv(); !St.isOk()) {
@@ -262,9 +215,7 @@ int runLint(int Argc, char **Argv) {
     else if (Arg == "--dot")
       DotFile = Next();
     else if (Arg == "--max-samples" || Arg == "--threads" ||
-             Arg == "--time-budget" || Arg == "--max-concepts" ||
-             Arg == "--shard-workers" || Arg == "--shard-timeout" ||
-             Arg == "--shard-retries") {
+             Arg == "--time-budget" || Arg == "--max-concepts") {
       std::string Value = Next();
       unsigned long N;
       if (!parseCount(Value, N)) {
@@ -278,12 +229,6 @@ int runLint(int Argc, char **Argv) {
         BuildOpts.NumThreads = static_cast<unsigned>(N);
       else if (Arg == "--time-budget")
         BuildOpts.ResourceBudget.TimeLimit = std::chrono::milliseconds(N);
-      else if (Arg == "--shard-workers")
-        BuildOpts.ShardWorkers = static_cast<unsigned>(N);
-      else if (Arg == "--shard-timeout")
-        BuildOpts.ShardTimeout = std::chrono::milliseconds(N);
-      else if (Arg == "--shard-retries")
-        BuildOpts.ShardRetries = static_cast<unsigned>(N);
       else
         BuildOpts.ResourceBudget.MaxConcepts = N;
     } else if (Arg == "--keep-going") {
