@@ -18,7 +18,6 @@
 
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
-#include "concepts/ParallelBuilder.h"
 #include "support/Budget.h"
 #include "support/RNG.h"
 
@@ -89,28 +88,6 @@ void BM_GodinUnlimitedMeter(benchmark::State &State) {
 }
 BENCHMARK(BM_GodinUnlimitedMeter);
 
-void BM_ParallelUnbudgeted(benchmark::State &State) {
-  Context Ctx = randomContext(64, 6, 24, 42);
-  unsigned Threads = static_cast<unsigned>(State.range(0));
-  for (auto _ : State) {
-    ConceptLattice L = ParallelBuilder::buildLattice(Ctx, Threads);
-    benchmark::DoNotOptimize(L);
-  }
-}
-BENCHMARK(BM_ParallelUnbudgeted)->Arg(1)->Arg(4);
-
-void BM_ParallelUnlimitedMeter(benchmark::State &State) {
-  Context Ctx = randomContext(64, 6, 24, 42);
-  unsigned Threads = static_cast<unsigned>(State.range(0));
-  for (auto _ : State) {
-    BudgetMeter Meter{Budget{}};
-    LatticeBuildResult R =
-        ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, Threads);
-    benchmark::DoNotOptimize(R);
-  }
-}
-BENCHMARK(BM_ParallelUnlimitedMeter)->Arg(1)->Arg(4);
-
 /// How fast a 10 ms deadline stops the exponential worst case, and how
 /// large a prefix survives. Not a throughput number — the interesting
 /// output is wall time staying near the deadline instead of 2^22.
@@ -121,8 +98,7 @@ void BM_DeadlineStopsContranominal(benchmark::State &State) {
     Budget B;
     B.TimeLimit = std::chrono::milliseconds(10);
     BudgetMeter Meter(B);
-    LatticeBuildResult R =
-        ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, 4u);
+    LatticeBuildResult R = NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
     Kept = R.Lattice.size();
     benchmark::DoNotOptimize(R);
   }
@@ -151,18 +127,12 @@ int main(int Argc, char **Argv) {
             NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
         benchmark::DoNotOptimize(R);
       });
-      Report.timeSample("parallel4-unlimited-meter", [&] {
-        BudgetMeter Meter{Budget{}};
-        LatticeBuildResult R =
-            ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, 4u);
-        benchmark::DoNotOptimize(R);
-      });
     }
     Budget B;
     B.TimeLimit = std::chrono::milliseconds(10);
     BudgetMeter Meter(B);
     LatticeBuildResult R =
-        ParallelBuilder::buildLatticeBudgeted(contranominal(22), Meter, 4u);
+        NextClosureBuilder::buildLatticeBudgeted(contranominal(22), Meter);
     Report.counter("deadline_kept_concepts",
                    static_cast<double>(R.Lattice.size()));
   }

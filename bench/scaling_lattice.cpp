@@ -20,7 +20,6 @@
 #include "concepts/Covers.h"
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
-#include "concepts/ParallelBuilder.h"
 #include "fa/Templates.h"
 #include "support/RNG.h"
 #include "cable/Session.h"
@@ -139,8 +138,7 @@ void BM_SessionBuild(benchmark::State &State) {
       static_cast<double>(State.range(0));
 }
 
-/// Serial NextClosure baseline on the largest context of the sweep — the
-/// denominator for BM_ParallelVsThreads' speedup counter.
+/// NextClosure on the largest context of the sweep.
 void BM_NextClosureSerial(benchmark::State &State) {
   Context Ctx = randomContext(/*NumObjects=*/512, /*K=*/6, /*PoolSize=*/24, 42);
   size_t Concepts = 0;
@@ -153,56 +151,6 @@ void BM_NextClosureSerial(benchmark::State &State) {
   State.counters["lattices_per_s"] =
       benchmark::Counter(static_cast<double>(State.iterations()),
                          benchmark::Counter::kIsRate);
-}
-
-/// The parallel builder at 1/2/4/8 workers on the same context. The
-/// speedup counter is measured against a serial NextClosure run timed
-/// inside this process, so the report is self-contained; identical==1
-/// confirms the bit-for-bit contract held on this machine.
-void BM_ParallelVsThreads(benchmark::State &State) {
-  unsigned NumThreads = static_cast<unsigned>(State.range(0));
-  Context Ctx = randomContext(/*NumObjects=*/512, /*K=*/6, /*PoolSize=*/24, 42);
-
-  // One-shot serial baseline (outside the timed loop).
-  auto SerialStart = std::chrono::steady_clock::now();
-  ConceptLattice Serial = NextClosureBuilder::buildLattice(Ctx);
-  double SerialSecs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    SerialStart)
-          .count();
-
-  ThreadPool Pool(NumThreads);
-  size_t Concepts = 0;
-  auto ParallelStart = std::chrono::steady_clock::now();
-  for (auto _ : State) {
-    ConceptLattice L = ParallelBuilder::buildLattice(Ctx, Pool);
-    Concepts = L.size();
-    benchmark::DoNotOptimize(L);
-  }
-  double ParallelSecs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    ParallelStart)
-          .count() /
-      static_cast<double>(State.iterations());
-
-  ConceptLattice P = ParallelBuilder::buildLattice(Ctx, Pool);
-  bool Identical = P.size() == Serial.size() && P.top() == Serial.top() &&
-                   P.bottom() == Serial.bottom() &&
-                   P.numEdges() == Serial.numEdges();
-  for (ConceptLattice::NodeId Id = 0; Identical && Id < P.size(); ++Id)
-    Identical = P.node(Id).Extent == Serial.node(Id).Extent &&
-                P.node(Id).Intent == Serial.node(Id).Intent &&
-                P.parents(Id) == Serial.parents(Id) &&
-                P.children(Id) == Serial.children(Id);
-
-  State.counters["threads"] = static_cast<double>(Pool.numThreads());
-  State.counters["concepts"] = static_cast<double>(Concepts);
-  State.counters["lattices_per_s"] =
-      benchmark::Counter(static_cast<double>(State.iterations()),
-                         benchmark::Counter::kIsRate);
-  State.counters["speedup_vs_serial"] =
-      ParallelSecs > 0 ? SerialSecs / ParallelSecs : 0;
-  State.counters["identical"] = Identical ? 1 : 0;
 }
 
 void BM_ExecutedTransitions(benchmark::State &State) {
@@ -339,7 +287,7 @@ void coverSpeedupProbe(cable::bench::BenchReport &Report, size_t NumObjects,
         ScanEdges += ConceptLattice::coversAt(Concepts, Order, Card, AI).size();
     }));
     CountMs.push_back(Report.timeSample("covers-count-" + Tag, [&] {
-      CoverLists Covers = computeCovers(Ctx, Concepts, nullptr);
+      CoverLists Covers = computeCovers(Ctx, Concepts);
       CountEdges = 0;
       for (const std::vector<ConceptLattice::NodeId> &P : Covers.Parents)
         CountEdges += P.size();
@@ -428,17 +376,10 @@ BENCHMARK(BM_SessionBuild)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 BENCHMARK(BM_NextClosureSerial)->Unit(benchmark::kMillisecond)->MinTime(0.05);
-BENCHMARK(BM_ParallelVsThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
 BENCHMARK(BM_ExecutedTransitions)->MinTime(0.05);
 
 // Custom main instead of BENCHMARK_MAIN(): always emit the BENCH JSON
-// (fixed Godin / parallel-builder probes on the 512-object sweep
+// (fixed Godin / NextClosure probes on the 512-object sweep
 // context), and run the full google-benchmark sweeps only outside quick
 // mode. This binary is also the subject of the disarmed-instrumentation
 // overhead guard (tests/bench/overhead_guard.sh), which compares its
@@ -458,10 +399,6 @@ int main(int Argc, char **Argv) {
       });
       Report.timeSample("next-closure-512", [&] {
         ConceptLattice L = NextClosureBuilder::buildLattice(Ctx);
-        benchmark::DoNotOptimize(L);
-      });
-      Report.timeSample("parallel4-512", [&] {
-        ConceptLattice L = ParallelBuilder::buildLattice(Ctx, 4u);
         benchmark::DoNotOptimize(L);
       });
     }

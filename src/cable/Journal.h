@@ -15,8 +15,8 @@
 /// atomically every few commands. Recovery is deterministic replay:
 /// restore the snapshot, then re-execute the journal tail through the
 /// very same command dispatcher that produced it. Because every command
-/// handler is deterministic (lattice construction is bit-identical at any
-/// thread count, the oracle strategy carries no RNG), the recovered
+/// handler is deterministic (lattice construction is a pure function of
+/// the context, the oracle strategy carries no RNG), the recovered
 /// session is bit-identical to the lost one up to the last durable record;
 /// at most the single in-flight command is lost, and a torn final record
 /// is skipped with a positioned warning, never an abort.

@@ -8,7 +8,7 @@
 #include "cable/Session.h"
 
 #include "concepts/BuildResult.h"
-#include "concepts/ParallelBuilder.h"
+#include "concepts/NextClosureBuilder.h"
 #include "support/ArtifactStore.h"
 #include "support/Dot.h"
 #include "support/Failpoint.h"
@@ -26,10 +26,8 @@ using namespace cable;
 
 namespace {
 
-/// The builder-family half of the cache key. Both batch paths (serial
-/// NextClosure and ParallelBuilder) enumerate the same canonical lectic
-/// order and are bit-for-bit interchangeable, so they share one id and
-/// one artifact.
+/// The builder-family half of the cache key: NextClosure, whose lectic
+/// enumeration order fixes the node ids of every artifact.
 constexpr const char *kLatticeBuilderId = "nextclosure";
 
 /// The budget half of the cache key. Only deterministic caps participate:
@@ -50,17 +48,14 @@ std::string budgetFingerprint(const Budget &B) {
 
 } // namespace
 
-Session::Session(TraceSet TracesIn, Automaton ReferenceFA,
-                 unsigned NumThreadsIn) {
+Session::Session(TraceSet TracesIn, Automaton ReferenceFA) {
   Traces = std::move(TracesIn);
   RefFA = std::move(ReferenceFA);
   assert(!RefFA.hasEpsilons() &&
          "reference FA must be epsilon-free (apply withoutEpsilons)");
-  SessionOptions Options;
-  Options.NumThreads = NumThreadsIn;
   // Unlimited budget: init() cannot fail (the epsilon case asserted above
   // is its only other error).
-  Status S = init(Options);
+  Status S = init(SessionOptions());
   (void)S;
   assert(S.isOk() && "unbudgeted session construction cannot fail");
 }
@@ -82,7 +77,6 @@ StatusOr<Session> Session::build(TraceSet Traces, Automaton ReferenceFA,
 
 Status Session::init(const SessionOptions &Options) {
   TraceSpan Span("session-init");
-  NumThreads = Options.NumThreads;
   Classes = Traces.computeClasses();
 
   // Step 1b: one object per identical-trace class; one attribute per
@@ -104,10 +98,10 @@ Status Session::init(const SessionOptions &Options) {
       !CellsSt.isOk() && !Options.KeepGoing)
     return CellsSt;
 
-  // Content-addressed lattice cache. The key never mentions threads,
-  // workers, or kernel levels (they are bit-for-bit irrelevant), and a
-  // wall-clock budget disables caching outright — a deadline-truncated
-  // lattice is not a pure function of the key.
+  // Content-addressed lattice cache. The key never mentions the kernel
+  // level (it is bit-for-bit irrelevant), and a wall-clock budget
+  // disables caching outright — a deadline-truncated lattice is not a
+  // pure function of the key.
   std::optional<ArtifactStore> Store;
   LatticeArtifactMeta Meta;
   std::string CacheKey;
@@ -178,15 +172,14 @@ Status Session::init(const SessionOptions &Options) {
     return Status::ok();
   }
 
-  // Step 1c: concept analysis. The parallel batch builder is the default
-  // path; its lattice is bit-for-bit identical at every thread count, as
-  // is the truncation point when the budget runs out.
+  // Step 1c: concept analysis by NextClosure. A budget stop truncates at
+  // a lectic prefix (see BuildResult.h).
   BudgetMeter Meter(Options.ResourceBudget);
   LatticeBuildResult R;
   {
     TraceSpan BuildSpan("lattice-build",
                         static_cast<int64_t>(Ctx.numObjects()));
-    R = ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, NumThreads);
+    R = NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
   }
   Metrics::counter("session.builds").add();
   if (R.Truncated) {
@@ -374,7 +367,7 @@ FocusSession Session::focus(NodeId Id, Automaton FocusFA) const {
   SubTraces.table() = Traces.table();
   for (size_t Obj : ParentObjects)
     SubTraces.add(Classes.Representatives[Obj]);
-  FocusSession F{Session(std::move(SubTraces), std::move(FocusFA), NumThreads),
+  FocusSession F{Session(std::move(SubTraces), std::move(FocusFA)),
                  std::move(ParentObjects)};
   return F;
 }

@@ -11,10 +11,9 @@
 ///
 ///  Step 1b/1c: the context has one object per class of identical traces
 ///  and one attribute per reference-FA transition, related by the executed-
-///  transition relation R; the concept lattice is built with the parallel
-///  batch builder (lectic-canonical, identical at every thread count;
-///  GodinBuilder remains available for incremental maintenance and as a
-///  differential oracle).
+///  transition relation R; the concept lattice is built with the
+///  NextClosure batch builder (lectic-canonical; GodinBuilder remains
+///  available for incremental maintenance and as a differential oracle).
 ///
 ///  Step 2: the user partitions traces into labels (`good`, `bad`, or
 ///  domain-specific labels like `good_fopen`) by labeling whole concepts.
@@ -65,11 +64,6 @@ struct FocusSession;
 
 /// Options for Session::build.
 struct SessionOptions {
-  /// Lattice-builder workers (0 = hardware concurrency, 1 = the exact
-  /// serial NextClosure path; the lattice is bit-for-bit identical either
-  /// way).
-  unsigned NumThreads = 0;
-
   /// Resource limits for lattice construction. On exhaustion the session
   /// still builds, with truncated() set and buildStatus() explaining why;
   /// the §5 identical-trace baseline clustering (baselineClasses()) is
@@ -83,8 +77,8 @@ struct SessionOptions {
 
   /// Directory of the content-addressed lattice artifact store; "" (the
   /// default) disables caching. The key is context hash x builder x
-  /// budget fingerprint — deliberately independent of thread count and
-  /// simd kernel level, both of which produce bit-identical lattices.
+  /// budget fingerprint — deliberately independent of the simd kernel
+  /// level, which produces bit-identical lattices.
   /// Every cache failure (corrupt artifact, I/O error, lock timeout)
   /// degrades to a normal build and is reported via cacheDiagnostics();
   /// a poisoned cache costs time, never correctness.
@@ -110,13 +104,10 @@ public:
 
   /// Builds the session: dedups \p Traces into identical-trace classes,
   /// simulates each representative on \p ReferenceFA to obtain its
-  /// attribute row, and constructs the concept lattice with the parallel
-  /// batch builder on \p NumThreads workers (0 = hardware concurrency,
-  /// 1 = the exact serial NextClosure path; the lattice is bit-for-bit
-  /// identical either way). \p ReferenceFA must be epsilon-free. Traces
-  /// the FA rejects get empty attribute rows and are reported by
-  /// rejectedObjects().
-  Session(TraceSet Traces, Automaton ReferenceFA, unsigned NumThreads = 0);
+  /// attribute row, and constructs the concept lattice with NextClosure.
+  /// \p ReferenceFA must be epsilon-free. Traces the FA rejects get empty
+  /// attribute rows and are reported by rejectedObjects().
+  Session(TraceSet Traces, Automaton ReferenceFA);
 
   /// Budget-aware construction: as the constructor, but recoverable
   /// errors (an epsilon FA, a context over MaxContextCells without
@@ -126,10 +117,6 @@ public:
   /// well-formed) lattice, and the complete baseline clustering.
   static StatusOr<Session> build(TraceSet Traces, Automaton ReferenceFA,
                                  const SessionOptions &Options = {});
-
-  /// The thread count this session was built with (inherited by Focus
-  /// sub-sessions).
-  unsigned numThreads() const { return NumThreads; }
 
   /// True when lattice construction stopped early on a budget limit; the
   /// lattice is then a valid sub-lattice (lectic prefix plus top/bottom)
@@ -308,7 +295,6 @@ private:
   Context Ctx;
   ConceptLattice Lattice;
   std::vector<size_t> Rejected;
-  unsigned NumThreads = 0;
   bool Truncated = false;
   bool CacheHit = false;
   Status BuildSt;

@@ -95,34 +95,3 @@ Status cable::checkContextCells(const Context &Ctx, const Budget &B) {
                            " attributes), exceeding the budget of " +
                            std::to_string(*B.MaxContextCells));
 }
-
-LatticeBuildResult
-cable::makeTruncatedFromIntents(const Context &Ctx,
-                                std::vector<BitVector> Intents,
-                                BuildStop Stop, const BudgetMeter &Meter,
-                                size_t NumEnumerated) {
-  LatticeBuildResult R;
-  R.Truncated = true;
-  R.NumEnumerated = NumEnumerated;
-  R.BuildStatus = truncationStatus(Stop, Meter, "lattice construction");
-  // Memory cuts are capped like deadline cuts: the enumerated prefix can
-  // be the very allocation pressure that triggered containment, and the
-  // pairwise cover scan a truncated subset needs must not re-trip it.
-  size_t Cap = Stop == BuildStop::Time || Stop == BuildStop::Memory
-                   ? DeadlineKeepCap
-                   : SIZE_MAX;
-  // Drop past the cap before deriving extents: the lectic prefix starts at
-  // the top concept, so the front is already the most general slice.
-  if (Intents.size() > Cap)
-    Intents.resize(Cap);
-  std::vector<Concept> Concepts;
-  Concepts.reserve(Intents.size());
-  for (BitVector &Intent : Intents) {
-    Concept C;
-    C.Extent = Ctx.tau(Intent);
-    C.Intent = std::move(Intent);
-    Concepts.push_back(std::move(C));
-  }
-  R.Lattice = finalizeTruncatedConcepts(Ctx, std::move(Concepts), Cap);
-  return R;
-}

@@ -76,17 +76,6 @@ Status truncationStatus(BuildStop Stop, const BudgetMeter &Meter,
 /// Budget::MaxContextCells allows (cells = objects × attributes).
 Status checkContextCells(const Context &Ctx, const Budget &B);
 
-/// The common truncated-path epilogue for the lectic enumerators
-/// (NextClosure and ParallelBuilder): turns a lectic prefix of closed
-/// intents into a LatticeBuildResult. Serial and parallel construction
-/// funnel through this one function so a ConceptCap truncation is
-/// bit-for-bit identical at every thread count.
-LatticeBuildResult makeTruncatedFromIntents(const Context &Ctx,
-                                            std::vector<BitVector> Intents,
-                                            BuildStop Stop,
-                                            const BudgetMeter &Meter,
-                                            size_t NumEnumerated);
-
 } // namespace cable
 
 #endif // CABLE_CONCEPTS_BUILDRESULT_H

@@ -90,10 +90,10 @@ public:
                        BitVector &Out) const;
 
   /// closeIntentInto that adds nothing to the context.tau-calls /
-  /// context.sigma-calls counters, for closure loops running on several
-  /// pool workers at once: with metrics armed, a shared counter bumped per
-  /// closure would make every closure a contended atomic increment. Such a
-  /// loop adds its closures once per worker with countIntentClosures.
+  /// context.sigma-calls counters, for hot closure loops: with metrics
+  /// armed, a counter bumped per closure would make every closure an
+  /// atomic increment. Such a loop adds its closures once with
+  /// countIntentClosures.
   void closeIntentIntoUncounted(const BitVector &Attrs,
                                 BitVector &ObjScratch, BitVector &Out) const;
 
@@ -139,7 +139,7 @@ public:
   /// little-endian byte order). This is the content-addressing key of the
   /// lattice artifact store, so it is computed with a plain scalar loop —
   /// never a SIMD kernel — and is byte-identical regardless of the
-  /// CABLE_KERNEL dispatch level or thread count.
+  /// CABLE_KERNEL dispatch level.
   /// Arena tail bits past numAttributes() are always zero (only relate()
   /// writes them), so the digest is a pure function of the relation.
   std::string contentHash() const;

@@ -8,7 +8,6 @@
 #include "concepts/Covers.h"
 
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/TraceEvent.h"
 
 #include <algorithm>
@@ -56,7 +55,7 @@ private:
   std::vector<std::pair<size_t, NodeId>> Entries;
 };
 
-/// Everything one worker reuses across the concepts it counts.
+/// Everything reused across the concepts counted.
 struct Scratch {
   BitVector Candidate, Objects, Closed, Generators;
   std::vector<NodeId> Hits;
@@ -133,8 +132,7 @@ void lowerCovers(const CoverInputs &In, NodeId X, Scratch &S,
 } // namespace
 
 CoverLists cable::computeCovers(const Context &Ctx,
-                                const std::vector<Concept> &Concepts,
-                                ThreadPool *Pool) {
+                                const std::vector<Concept> &Concepts) {
   const size_t N = Concepts.size();
   TraceSpan Span("lattice-covers", static_cast<int64_t>(N));
   CoverLists Out;
@@ -157,24 +155,12 @@ CoverLists cable::computeCovers(const Context &Ctx,
   // the bottom concept is the unique first one in scan order.
   CoverInputs In{Ctx, Concepts, Index, IntentCard, Rank, Order[0]};
 
-  // Concepts are dealt round-robin, since the cost of one grows with its
-  // number of generators and those cluster in id order.
-  auto CountStripe = [&](size_t Stripe, size_t Stride) {
-    Scratch S(Ctx);
-    for (size_t X = Stripe; X < N; X += Stride)
-      lowerCovers(In, static_cast<NodeId>(X), S, Out.Children[X]);
-    Context::countIntentClosures(S.Closures);
-    CoverClosures.add(S.Closures);
-    CoverPruned.add(S.Pruned);
-  };
-  size_t Stride = Pool ? Pool->numThreads() : 1;
-  if (Stride > 1)
-    Pool->parallelFor(Stride, [&](size_t Begin, size_t End) {
-      for (size_t Stripe = Begin; Stripe < End; ++Stripe)
-        CountStripe(Stripe, Stride);
-    });
-  else
-    CountStripe(0, 1);
+  Scratch S(Ctx);
+  for (NodeId X = 0; X < N; ++X)
+    lowerCovers(In, X, S, Out.Children[X]);
+  Context::countIntentClosures(S.Closures);
+  CoverClosures.add(S.Closures);
+  CoverPruned.add(S.Pruned);
 
   // Visiting children in scan order leaves every parent list in scan order.
   size_t Edges = 0;

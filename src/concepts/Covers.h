@@ -40,8 +40,6 @@
 
 namespace cable {
 
-class ThreadPool;
-
 /// Parent (upper cover) and child (lower cover) lists, indexed by concept.
 struct CoverLists {
   std::vector<std::vector<ConceptLattice::NodeId>> Parents;
@@ -49,12 +47,9 @@ struct CoverLists {
 };
 
 /// The cover relation of \p Concepts, which must be exactly the concepts of
-/// \p Ctx (any order, top and bottom included). Concepts are counted in
-/// parallel on \p Pool when it is non-null; the result does not depend on
-/// the thread count.
+/// \p Ctx (any order, top and bottom included).
 CoverLists computeCovers(const Context &Ctx,
-                         const std::vector<Concept> &Concepts,
-                         ThreadPool *Pool);
+                         const std::vector<Concept> &Concepts);
 
 } // namespace cable
 

@@ -22,12 +22,11 @@
 using namespace cable;
 
 ConceptLattice ConceptLattice::fromConcepts(const Context &Ctx,
-                                            std::vector<Concept> Concepts,
-                                            ThreadPool *Pool) {
+                                            std::vector<Concept> Concepts) {
   assert(!Concepts.empty() && "a concept lattice is never empty");
   ConceptLattice L;
   L.Concepts = std::move(Concepts);
-  CoverLists Covers = computeCovers(Ctx, L.Concepts, Pool);
+  CoverLists Covers = computeCovers(Ctx, L.Concepts);
   L.Parents = std::move(Covers.Parents);
   L.Children = std::move(Covers.Children);
   L.locateTopAndBottom();

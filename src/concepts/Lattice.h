@@ -39,8 +39,7 @@ struct LatticeArtifactMeta {
   /// Context::contentHash() of the source context (16 hex digits).
   std::string ContextHash;
   /// Builder family id, e.g. "nextclosure". Names the canonical concept
-  /// order, not the execution engine: serial and parallel builds both
-  /// produce this same artifact byte-for-byte.
+  /// order that fixes the node ids.
   std::string Builder;
   /// Budget fingerprint, e.g. "full" or "mc500" (see Session).
   std::string Budget;
@@ -62,8 +61,6 @@ struct Concept {
   BitVector Intent;
 };
 
-class ThreadPool;
-
 /// The complete lattice of concepts of a context.
 ///
 /// Node ids index an internal vector and are stable for the lifetime of the
@@ -76,10 +73,9 @@ public:
 
   /// Builds from exactly the concepts of \p Ctx, top and bottom included:
   /// the path every complete build takes. Covers come from
-  /// computeCovers (concepts/Covers.h), counted on \p Pool when given.
+  /// computeCovers (concepts/Covers.h).
   static ConceptLattice fromConcepts(const Context &Ctx,
-                                     std::vector<Concept> Concepts,
-                                     ThreadPool *Pool = nullptr);
+                                     std::vector<Concept> Concepts);
 
   /// Builds from concepts that need not be closed under closure (a
   /// truncated subset, or a concept set without its context), with covers

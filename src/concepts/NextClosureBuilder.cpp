@@ -18,8 +18,7 @@ using namespace cable;
 
 namespace {
 
-// Shared with ParallelBuilder (same registry entries): total closure
-// computations and concepts emitted across every builder in the process.
+// Total closure computations and concepts emitted in the process.
 // Enumeration loops accumulate locally and flush once per call, so the
 // hot loop never touches an atomic.
 Metrics::Counter &NumClosures = Metrics::counter("lattice.closures");
@@ -29,6 +28,44 @@ Metrics::Counter &OomContained = Metrics::counter("lattice.oom-contained");
 // Deterministic OOM for the containment tests: an `error` here is
 // translated into a real std::bad_alloc at the enumeration checkpoint.
 Failpoint::Registrar RegLatticeOom("lattice-oom");
+
+/// The concepts whose intents are \p Intents, in the same order.
+std::vector<Concept> conceptsOf(const Context &Ctx,
+                                std::vector<BitVector> Intents) {
+  std::vector<Concept> Concepts;
+  Concepts.reserve(Intents.size());
+  for (BitVector &Intent : Intents) {
+    Concept C;
+    C.Extent = Ctx.tau(Intent);
+    C.Intent = std::move(Intent);
+    Concepts.push_back(std::move(C));
+  }
+  return Concepts;
+}
+
+/// Turns the lectic prefix \p Intents of a stopped enumeration into a
+/// truncated result.
+LatticeBuildResult truncatedResult(const Context &Ctx,
+                                   std::vector<BitVector> Intents,
+                                   BuildStop Stop, const BudgetMeter &Meter) {
+  LatticeBuildResult R;
+  R.Truncated = true;
+  R.NumEnumerated = Intents.size();
+  R.BuildStatus = truncationStatus(Stop, Meter, "lattice construction");
+  // Memory cuts are capped like deadline cuts: the enumerated prefix can
+  // be the very allocation pressure that triggered containment, and the
+  // pairwise cover scan a truncated subset needs must not re-trip it.
+  size_t Cap = Stop == BuildStop::Time || Stop == BuildStop::Memory
+                   ? DeadlineKeepCap
+                   : SIZE_MAX;
+  // Drop past the cap before deriving extents: the lectic prefix starts at
+  // the top concept, so the front is already the most general slice.
+  if (Intents.size() > Cap)
+    Intents.resize(Cap);
+  R.Lattice = finalizeTruncatedConcepts(
+      Ctx, conceptsOf(Ctx, std::move(Intents)), Cap);
+  return R;
+}
 
 } // namespace
 
@@ -92,14 +129,8 @@ NextClosureBuilder::allClosedIntents(const Context &Ctx) {
 }
 
 ConceptLattice NextClosureBuilder::buildLattice(const Context &Ctx) {
-  std::vector<Concept> Concepts;
-  for (BitVector &Intent : allClosedIntents(Ctx)) {
-    Concept C;
-    C.Extent = Ctx.tau(Intent);
-    C.Intent = std::move(Intent);
-    Concepts.push_back(std::move(C));
-  }
-  return ConceptLattice::fromConcepts(Ctx, std::move(Concepts));
+  return ConceptLattice::fromConcepts(Ctx,
+                                      conceptsOf(Ctx, allClosedIntents(Ctx)));
 }
 
 std::vector<BitVector>
@@ -206,23 +237,13 @@ NextClosureBuilder::buildLatticeBudgeted(const Context &Ctx,
     // extents and covers over a possibly huge complete set.
     if (Stop == BuildStop::Complete && Meter.expired())
       Stop = BuildStop::Time;
-    if (Stop != BuildStop::Complete) {
-      size_t NumEnumerated = Intents.size();
-      return makeTruncatedFromIntents(Ctx, std::move(Intents), Stop, Meter,
-                                      NumEnumerated);
-    }
+    if (Stop != BuildStop::Complete)
+      return truncatedResult(Ctx, std::move(Intents), Stop, Meter);
 
     LatticeBuildResult R;
     R.NumEnumerated = Intents.size();
-    std::vector<Concept> Concepts;
-    Concepts.reserve(Intents.size());
-    for (BitVector &Intent : Intents) {
-      Concept C;
-      C.Extent = Ctx.tau(Intent);
-      C.Intent = std::move(Intent);
-      Concepts.push_back(std::move(C));
-    }
-    R.Lattice = ConceptLattice::fromConcepts(Ctx, std::move(Concepts));
+    R.Lattice =
+        ConceptLattice::fromConcepts(Ctx, conceptsOf(Ctx, std::move(Intents)));
     return R;
   } catch (const std::bad_alloc &) {
     // Last-resort boundary: extent or cover computation ran out of memory

@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Ganter's NextClosure algorithm: enumerates all closed intents of a
-/// context in lectic order and assembles the concept lattice. Used as an
-/// independent oracle against GodinBuilder — the two must produce the same
-/// concept set — and as an alternative batch builder.
+/// context in lectic order and assembles the concept lattice. It is the
+/// batch builder every Session uses (node ids follow the lectic order),
+/// and GodinBuilder is checked against it — the two must produce the same
+/// concept set.
 ///
 //===----------------------------------------------------------------------===//
 

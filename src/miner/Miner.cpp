@@ -37,14 +37,12 @@ MiningResult Miner::mine(const TraceSet &Runs, std::string Name) const {
 }
 
 Session Miner::debugSession(TraceSet Scenarios, Automaton ReferenceFA) const {
-  return Session(std::move(Scenarios), std::move(ReferenceFA),
-                 Options.NumThreads);
+  return Session(std::move(Scenarios), std::move(ReferenceFA));
 }
 
 StatusOr<Session> Miner::debugSessionBudgeted(TraceSet Scenarios,
                                               Automaton ReferenceFA) const {
   SessionOptions SessionOpts;
-  SessionOpts.NumThreads = Options.NumThreads;
   SessionOpts.ResourceBudget = Options.ResourceBudget;
   SessionOpts.KeepGoing = Options.KeepGoing;
   return Session::build(std::move(Scenarios), std::move(ReferenceFA),

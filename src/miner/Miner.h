@@ -38,10 +38,6 @@ struct Specification {
 struct MinerOptions {
   ExtractorOptions Extract;
   SkStringsOptions Learn;
-  /// Worker count for concept-lattice construction when a mined
-  /// specification is debugged (0 = hardware concurrency, 1 = exact
-  /// serial path). The lattice is identical at every setting.
-  unsigned NumThreads = 0;
   /// Resource limits for lattice construction in debugSessionBudgeted
   /// (default: unlimited).
   Budget ResourceBudget;
@@ -78,8 +74,7 @@ public:
   MiningResult mine(const TraceSet &Runs, std::string Name) const;
 
   /// Opens a Cable debugging session over \p Scenarios clustered against
-  /// \p ReferenceFA (§2.2: debugging a mined specification), building the
-  /// lattice with Options.NumThreads workers.
+  /// \p ReferenceFA (§2.2: debugging a mined specification).
   Session debugSession(TraceSet Scenarios, Automaton ReferenceFA) const;
 
   /// As debugSession, but honors Options.ResourceBudget / KeepGoing and

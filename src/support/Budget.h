@@ -10,9 +10,9 @@
 /// worst-case exponential in the context, so every batch entry point
 /// accepts a Budget: a wall-clock deadline, a cap on enumerated concepts,
 /// and a cap on context cells (objects × attributes). A BudgetMeter stamps
-/// the deadline at construction and is shared — by reference — across all
-/// workers of one operation; expiry and external cancellation are sticky
-/// and thread-safe.
+/// the deadline at construction and is shared by reference across one
+/// operation; expiry and external cancellation are sticky and
+/// thread-safe, so another thread may cancel a running build.
 ///
 /// Checkpoint granularity is one closure computation (one concept), which
 /// dwarfs the cost of an atomic load plus an occasional clock sample.

@@ -80,9 +80,12 @@ uint64_t nowUs() {
 //===----------------------------------------------------------------------===//
 // Crash ring: fully rendered JSON object lines in fixed storage, readable
 // from a signal handler while other threads keep writing. Each slot is a
-// seqlock: the writer stamps 2*idx+1 (odd: mid-copy), fills the text,
-// then stamps 2*idx+2; the reader accepts a slot only when it reads the
-// even stamp before *and* after the copy.
+// seqlock: the writer claims it by swapping an older even stamp for
+// 2*idx+1 (odd: mid-copy), fills the text, then stamps 2*idx+2; the
+// reader accepts a slot only when it reads the even stamp before *and*
+// after the copy. Writers whose indices differ by kCrashSlots share a
+// slot, so a writer that finds it held (odd) or already newer drops its
+// line rather than copy over another writer's text.
 //===----------------------------------------------------------------------===//
 
 constexpr size_t kCrashSlots = 64;
@@ -102,7 +105,12 @@ void crashRingAppend(const char *Line, size_t Len) {
     return; // an over-long line is dropped, never truncated mid-JSON
   uint64_t Idx = GCrashNext.fetch_add(1, std::memory_order_relaxed);
   CrashSlot &S = GCrashRing[Idx % kCrashSlots];
-  S.State.store(2 * Idx + 1, std::memory_order_relaxed);
+  uint64_t Prev = S.State.load(std::memory_order_relaxed);
+  if ((Prev & 1) || Prev > 2 * Idx ||
+      !S.State.compare_exchange_strong(Prev, 2 * Idx + 1,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed))
+    return; // the ring is best-effort: drop rather than tear
   std::atomic_thread_fence(std::memory_order_release);
   std::memcpy(S.Text, Line, Len);
   S.Len = static_cast<uint32_t>(Len);

@@ -36,7 +36,7 @@ struct Registry {
 
 /// Intentionally leaked: instrumentation sites hold references obtained
 /// during static init, and counters may still tick during static
-/// destruction (thread pool teardown, atexit I/O).
+/// destruction (atexit I/O).
 Registry &registry() {
   static Registry *R = new Registry;
   return *R;

@@ -8,7 +8,7 @@
 /// \file
 /// A process-wide registry of named counters, gauges, and fixed-bucket
 /// latency histograms — the instrumentation substrate for the whole
-/// pipeline (builders, thread pool, journal, budgets, sessions, tools).
+/// pipeline (builders, journal, budgets, sessions, tools).
 ///
 /// Cost model, mirroring support/Failpoint.h:
 ///
@@ -33,7 +33,7 @@
 ///   NumClosures.add(LocalCount);   // once per build, not per closure
 ///
 /// Metric names are kebab-case segments joined by dots, subsystem first:
-/// `journal.fsync-us`, `threadpool.queue-depth` (docs/OBSERVABILITY.md
+/// `journal.fsync-us`, `budget.headroom-ms` (docs/OBSERVABILITY.md
 /// has the full catalog).
 ///
 //===----------------------------------------------------------------------===//

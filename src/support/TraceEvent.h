@@ -8,9 +8,9 @@
 /// \file
 /// Scoped RAII tracing spans exported as Chrome trace-event JSON, so a
 /// whole cable-cli or spec-lint run can be opened in chrome://tracing or
-/// Perfetto and read like a flame chart: lattice construction on its pool
-/// workers, journal fsyncs, session commands — each on the thread that
-/// actually executed it.
+/// Perfetto and read like a flame chart: lattice construction, journal
+/// fsyncs, session commands — each on the thread that actually executed
+/// it.
 ///
 ///   { TraceSpan Span("lattice-build"); buildLattice(...); }
 ///
@@ -63,7 +63,7 @@ public:
 
   static void setEnabled(bool On);
 
-  /// Names the calling thread in the exported trace (e.g. "pool-worker-2").
+  /// Names the calling thread in the exported trace (e.g. "main").
   static void setThreadName(std::string Name);
 
   /// Renders every recorded span as a Chrome trace-event JSON document.

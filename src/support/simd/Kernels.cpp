@@ -380,7 +380,7 @@ Level resolveStartupLevel() {
 }
 
 /// The active table. Lazily initialized with a CAS so concurrent first
-/// uses (pool workers racing into their first closure) are safe; the
+/// uses (threads racing into their first closure) are safe; the
 /// steady-state cost is one acquire load.
 std::atomic<const KernelOps *> ActiveOps{nullptr};
 std::atomic<int> ActiveLevelValue{-1};

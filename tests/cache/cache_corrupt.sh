@@ -23,7 +23,7 @@ set -u
 LINT=${1:?usage: cache_corrupt.sh <spec-lint> <workdir>}
 WORK=${2:?usage: cache_corrupt.sh <spec-lint> <workdir>}
 DATA=$(cd "$(dirname "$0")/../../examples/data" && pwd)
-LFLAGS="--spec $DATA/stdio_buggy.fa --traces $DATA/stdio_traces.txt --threads 2"
+LFLAGS="--spec $DATA/stdio_buggy.fa --traces $DATA/stdio_traces.txt"
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -44,7 +44,7 @@ fi
 # A second, different context (one trace dropped) whose artifact carries a
 # foreign context hash but is otherwise perfectly well-formed.
 head -n -1 "$DATA/stdio_traces.txt" > other_traces.txt
-$LINT --spec "$DATA/stdio_buggy.fa" --traces other_traces.txt --threads 2 \
+$LINT --spec "$DATA/stdio_buggy.fa" --traces other_traces.txt \
   --cache-dir OTHER --dot other.dot > other.out 2>&1
 OTHER_ART=$(ls OTHER/*.nextclosure.* 2>other_ls.err | head -1)
 if [ -z "$OTHER_ART" ]; then

@@ -21,7 +21,7 @@ set -u
 LINT=${1:?usage: cache_stampede.sh <spec-lint> <workdir>}
 WORK=${2:?usage: cache_stampede.sh <spec-lint> <workdir>}
 DATA=$(cd "$(dirname "$0")/../../examples/data" && pwd)
-LFLAGS="--spec $DATA/stdio_buggy.fa --traces $DATA/stdio_traces.txt --threads 2"
+LFLAGS="--spec $DATA/stdio_buggy.fa --traces $DATA/stdio_traces.txt"
 N=8
 
 rm -rf "$WORK"

@@ -13,10 +13,9 @@
 // Truncated, and still hand back a well-formed sub-lattice (top, bottom,
 // consistent covers) within a small multiple of the deadline.
 //
-// MaxConcepts truncation is exact and deterministic: serial NextClosure
-// and the parallel builder at any thread count return bit-identical
-// truncated lattices, and a cap equal to the true concept count does not
-// truncate at all.
+// MaxConcepts truncation is exact and deterministic: the kept concepts are
+// the first MaxConcepts of the lectic order, and a cap equal to the true
+// concept count does not truncate at all.
 //
 // std::bad_alloc containment at the budgeted boundary is covered here too,
 // via the `lattice-oom` failpoint.
@@ -26,13 +25,13 @@
 #include "concepts/BuildResult.h"
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
-#include "concepts/ParallelBuilder.h"
 
 #include "support/Failpoint.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -133,14 +132,6 @@ std::vector<NamedBuilder> allBudgetedBuilders() {
        [](const Context &Ctx, const BudgetMeter &M) {
          return GodinBuilder::buildLatticeBudgeted(Ctx, M);
        }},
-      {"Parallel/1",
-       [](const Context &Ctx, const BudgetMeter &M) {
-         return ParallelBuilder::buildLatticeBudgeted(Ctx, M, 1u);
-       }},
-      {"Parallel/4",
-       [](const Context &Ctx, const BudgetMeter &M) {
-         return ParallelBuilder::buildLatticeBudgeted(Ctx, M, 4u);
-       }},
   };
 }
 
@@ -185,48 +176,32 @@ TEST(BudgetBuilderTest, ConceptCapTruncatesEveryBuilder) {
   }
 }
 
-TEST(BudgetBuilderTest, ConceptCapIsDeterministicAcrossThreadCounts) {
-  Context Ctx = contranominal(16);
-  Budget Limits;
-  Limits.MaxConcepts = 1000;
-  BudgetMeter MSerial(Limits), M1(Limits), M4(Limits);
-  LatticeBuildResult Serial =
-      NextClosureBuilder::buildLatticeBudgeted(Ctx, MSerial);
-  LatticeBuildResult P1 = ParallelBuilder::buildLatticeBudgeted(Ctx, M1, 1u);
-  LatticeBuildResult P4 = ParallelBuilder::buildLatticeBudgeted(Ctx, M4, 4u);
-  EXPECT_TRUE(Serial.Truncated);
-  EXPECT_TRUE(P1.Truncated);
-  EXPECT_TRUE(P4.Truncated);
-  EXPECT_EQ(Serial.NumEnumerated, P4.NumEnumerated);
-  expectIdentical(Serial.Lattice, P1.Lattice);
-  expectIdentical(Serial.Lattice, P4.Lattice);
-}
-
 TEST(BudgetBuilderTest, ConceptCapDeterminismOnRandomContexts) {
   RNG Rand(0xB1D6E7);
   for (int Trial = 0; Trial < 40; ++Trial) {
     Context Ctx = randomContext(Rand, 10, 10, 0.4);
-    size_t TrueSize = NextClosureBuilder::buildLattice(Ctx).size();
+    std::vector<BitVector> Lectic = NextClosureBuilder::allClosedIntents(Ctx);
+    size_t TrueSize = Lectic.size();
     // Caps below, at, and above the true size.
     for (size_t Cap : {size_t(1), TrueSize / 2 + 1, TrueSize, TrueSize + 5}) {
       SCOPED_TRACE("trial " + std::to_string(Trial) + " cap " +
                    std::to_string(Cap));
       Budget Limits;
       Limits.MaxConcepts = Cap;
-      BudgetMeter MSerial(Limits), M4(Limits);
-      LatticeBuildResult Serial =
-          NextClosureBuilder::buildLatticeBudgeted(Ctx, MSerial);
-      LatticeBuildResult P4 =
-          ParallelBuilder::buildLatticeBudgeted(Ctx, M4, 4u);
-      EXPECT_EQ(Serial.Truncated, P4.Truncated);
-      expectIdentical(Serial.Lattice, P4.Lattice);
+      BudgetMeter Meter(Limits);
+      LatticeBuildResult R = NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
+      // The kept concepts are the first Cap of the lectic order, in order.
+      size_t Kept = std::min(Cap, TrueSize);
+      ASSERT_GE(R.Lattice.size(), Kept);
+      for (ConceptLattice::NodeId Id = 0; Id < Kept; ++Id)
+        EXPECT_TRUE(R.Lattice.node(Id).Intent == Lectic[Id]) << "c" << Id;
       // The flag is exact: a cap covering the whole lattice never trips.
       if (Cap >= TrueSize) {
-        EXPECT_FALSE(Serial.Truncated);
-        EXPECT_EQ(Serial.Lattice.size(), TrueSize);
-        EXPECT_TRUE(Serial.BuildStatus.isOk());
+        EXPECT_FALSE(R.Truncated);
+        EXPECT_EQ(R.Lattice.size(), TrueSize);
+        EXPECT_TRUE(R.BuildStatus.isOk());
       } else {
-        EXPECT_TRUE(Serial.Truncated);
+        EXPECT_TRUE(R.Truncated);
       }
     }
   }
@@ -236,11 +211,10 @@ TEST(BudgetBuilderTest, UnlimitedBudgetMatchesUnbudgetedBuild) {
   RNG Rand(0xFEED);
   for (int Trial = 0; Trial < 20; ++Trial) {
     Context Ctx = randomContext(Rand, 9, 9, 0.5);
-    ConceptLattice Full = ParallelBuilder::buildLattice(Ctx, 4u);
+    ConceptLattice Full = NextClosureBuilder::buildLattice(Ctx);
     Budget Unlimited;
     BudgetMeter Meter(Unlimited);
-    LatticeBuildResult R =
-        ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, 4u);
+    LatticeBuildResult R = NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
     EXPECT_FALSE(R.Truncated);
     EXPECT_TRUE(R.BuildStatus.isOk());
     expectIdentical(Full, R.Lattice);
@@ -255,7 +229,7 @@ TEST(BudgetBuilderTest, ExternalCancelStopsTheBuild) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     Meter.cancel();
   });
-  LatticeBuildResult R = ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, 4u);
+  LatticeBuildResult R = NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
   Canceller.join();
   EXPECT_TRUE(R.Truncated);
   EXPECT_EQ(R.BuildStatus.code(), ErrorCode::Cancelled);
@@ -283,7 +257,7 @@ TEST(BudgetBuilderTest, MeetJoinDegradeGracefullyOnTruncatedLattices) {
   Budget Limits;
   Limits.MaxConcepts = 40;
   BudgetMeter Meter(Limits);
-  LatticeBuildResult R = ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, 4u);
+  LatticeBuildResult R = NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
   ASSERT_TRUE(R.Truncated);
   const ConceptLattice &L = R.Lattice;
   for (ConceptLattice::NodeId A = 0; A < L.size(); ++A) {
@@ -336,16 +310,4 @@ TEST_F(OomContainmentTest, SerialBuilderKeepsThePrefixAndReportsExhaustion) {
   std::string Why;
   EXPECT_TRUE(R.Lattice.verify(Ctx, &Why)) << Why;
   EXPECT_GE(R.Lattice.size(), 2u); // Top and bottom survive at minimum.
-}
-
-TEST_F(OomContainmentTest, ParallelBuilderContainsTheThrowPerBlock) {
-  Context Ctx = seededContext(4242);
-  ASSERT_TRUE(Failpoint::configure("lattice-oom=error@2").isOk());
-  BudgetMeter Meter{Budget{}};
-  LatticeBuildResult R =
-      ParallelBuilder::buildLatticeBudgeted(Ctx, Meter, /*NumThreads=*/2);
-  EXPECT_TRUE(R.Truncated);
-  EXPECT_EQ(ErrorCode::ResourceExhausted, R.BuildStatus.code());
-  std::string Why;
-  EXPECT_TRUE(R.Lattice.verify(Ctx, &Why)) << Why;
 }

@@ -8,11 +8,10 @@
 // Differential oracle for neighbour-counted covers (computeCovers): over
 // the same concepts, the counted lattice must have byte-for-byte the
 // parents()/children() lists and serialize() bytes of the pairwise
-// coversAt scan, serially and at 2/4/8 threads. Inputs: 200 seeded random
-// contexts (in lectic and in shuffled concept order), the degenerate
-// corners, every Table 3 session, a wide unordered-FA context, and a
-// sk-strings-mined NFA context whose sparse rows make generator pruning
-// fire.
+// coversAt scan. Inputs: 200 seeded random contexts (in lectic and in
+// shuffled concept order), the degenerate corners, every Table 3 session,
+// a wide unordered-FA context, and a sk-strings-mined NFA context whose
+// sparse rows make generator pruning fire.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +24,6 @@
 #include "miner/ScenarioExtractor.h"
 #include "support/Metrics.h"
 #include "support/RNG.h"
-#include "support/ThreadPool.h"
 #include "workload/Generator.h"
 #include "workload/Protocols.h"
 #include "workload/ReferenceFA.h"
@@ -57,7 +55,7 @@ std::vector<Concept> conceptsOf(const ConceptLattice &L) {
 }
 
 /// Asserts counted covers over \p Concepts equal the scan's, in lists and
-/// in artifact bytes, at 1/2/4/8 threads. With \p Verify, also checks the
+/// in artifact bytes. With \p Verify, also checks the
 /// counted lattice against the context (O(n^3): small cases only).
 void expectCountingMatchesScan(const Context &Ctx,
                                const std::vector<Concept> &Concepts,
@@ -69,24 +67,18 @@ void expectCountingMatchesScan(const Context &Ctx,
   Meta.Budget = "full";
   Meta.NumObjects = Ctx.numObjects();
   Meta.NumAttributes = Ctx.numAttributes();
-  std::string OracleBytes = Oracle.serialize(Meta);
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    std::string Where = What + " threads=" + std::to_string(Threads);
-    ThreadPool Pool(Threads);
-    ConceptLattice L = ConceptLattice::fromConcepts(
-        Ctx, Concepts, Threads == 1 ? nullptr : &Pool);
-    ASSERT_EQ(L.size(), Oracle.size()) << Where;
-    EXPECT_EQ(L.top(), Oracle.top()) << Where;
-    EXPECT_EQ(L.bottom(), Oracle.bottom()) << Where;
-    for (ConceptLattice::NodeId Id = 0; Id < L.size(); ++Id) {
-      ASSERT_EQ(L.parents(Id), Oracle.parents(Id)) << Where << " c" << Id;
-      ASSERT_EQ(L.children(Id), Oracle.children(Id)) << Where << " c" << Id;
-    }
-    EXPECT_EQ(L.serialize(Meta), OracleBytes) << Where;
-    if (Verify && Threads == 1) {
-      std::string Why;
-      EXPECT_TRUE(L.verify(Ctx, &Why)) << Where << ": " << Why;
-    }
+  ConceptLattice L = ConceptLattice::fromConcepts(Ctx, Concepts);
+  ASSERT_EQ(L.size(), Oracle.size()) << What;
+  EXPECT_EQ(L.top(), Oracle.top()) << What;
+  EXPECT_EQ(L.bottom(), Oracle.bottom()) << What;
+  for (ConceptLattice::NodeId Id = 0; Id < L.size(); ++Id) {
+    ASSERT_EQ(L.parents(Id), Oracle.parents(Id)) << What << " c" << Id;
+    ASSERT_EQ(L.children(Id), Oracle.children(Id)) << What << " c" << Id;
+  }
+  EXPECT_EQ(L.serialize(Meta), Oracle.serialize(Meta)) << What;
+  if (Verify) {
+    std::string Why;
+    EXPECT_TRUE(L.verify(Ctx, &Why)) << What << ": " << Why;
   }
 }
 
@@ -108,7 +100,7 @@ Context seededContext(uint64_t Seed) {
   return Ctx;
 }
 
-/// Checks a session's own lattice (built on the default parallel path)
+/// Checks a session's own lattice (built on the session's NextClosure path)
 /// and a re-count over its concepts against the scan.
 void expectSessionMatchesScan(const Session &S, const std::string &What) {
   std::vector<Concept> Concepts = conceptsOf(S.lattice());
@@ -278,7 +270,7 @@ TEST(CoverCountingWorkloadTest, MinedNFAContextPrunesGenerators) {
   Metrics::setEnabled(true);
   Metrics::reset();
   std::vector<Concept> Concepts = conceptsOf(S.lattice());
-  CoverLists Covers = computeCovers(Ctx, Concepts, nullptr);
+  CoverLists Covers = computeCovers(Ctx, Concepts);
   uint64_t Pruned = Metrics::counterValue("lattice.cover-pruned");
   uint64_t Closures = Metrics::counterValue("lattice.cover-closures");
   uint64_t Edges = Metrics::counterValue("lattice.cover-edges");

@@ -37,13 +37,11 @@ LINT=${3:-}
 PHASE=${KILL_MATRIX_PHASE:-session}
 DATA=$(cd "$(dirname "$0")/../../examples/data" && pwd)
 INDICES=${KILL_MATRIX_INDICES:-"1 2 3 4 5 8 13 21 34 50"}
-# Every run gets 2 workers so threadpool dispatch is a real crosspoint even
-# on single-core machines (the lattice is bit-identical at any count), and
-# fsync-per-command sync so the journal-fsync point triggers at every
-# append, not only at snapshot/shutdown flushes (scripted runs default to
-# --journal-sync batch; the batched path is covered by the resume test and
-# the Journal unit tests).
-FLAGS="--protocol stdio --recommended --threads 2 --snapshot-every 10 --journal-sync always"
+# Every run gets fsync-per-command sync so the journal-fsync point triggers
+# at every append, not only at snapshot/shutdown flushes (scripted runs
+# default to --journal-sync batch; the batched path is covered by the
+# resume test and the Journal unit tests).
+FLAGS="--protocol stdio --recommended --snapshot-every 10 --journal-sync always"
 MAX_RESTARTS=60
 
 # Metrics snapshots let the matrix assert on structured counters
@@ -111,7 +109,7 @@ if [ "$PHASE" = cache ]; then
     say "FATAL: KILL_MATRIX_PHASE=cache needs a spec-lint path (third argument)"
     exit 1
   fi
-  LFLAGS="--spec $DATA/stdio_buggy.fa --traces $DATA/stdio_traces.txt --threads 2"
+  LFLAGS="--spec $DATA/stdio_buggy.fa --traces $DATA/stdio_traces.txt"
   SITES="cache-serialize cache-publish cache-lock cache-load cache-mmap"
   CACHE_INDICES=${KILL_MATRIX_CACHE_INDICES:-"1 2"}
 
@@ -334,8 +332,8 @@ for p in $points; do
       fi
       # Whether the fault landed while the journal was open: only then
       # does the restart owe us an unclean-recovery count. A crash before
-      # Journal::open (e.g. threadpool-dispatch during the initial session
-      # build) or after closeClean leaves nothing unclean to detect.
+      # Journal::open (e.g. lattice-oom during the initial session build)
+      # or after closeClean leaves nothing unclean to detect.
       had_active=0
       [ -f J/ACTIVE ] && had_active=1
       [ $rc -ne 0 ] && faulted=$((faulted + 1))

@@ -86,74 +86,3 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, PipelineTest,
                              "RegionsBig", "XFreeGC", "XPutImage", "XSetFont",
                              "XtFree", "XOpenDisplay", "XCreatePixmap",
                              "XSaveContext", "stdio"));
-
-// The end-to-end debug session over the stdio (fopen/popen) workload must
-// be indistinguishable whether the lattice is built serially or on four
-// workers: identical lattice, identical concept states, and identical
-// per-trace labels after the simulated expert finishes.
-TEST(PipelineThreadsTest, StdioSessionIdenticalAtOneAndFourThreads) {
-  ProtocolModel Model = stdioProtocol();
-  EventTable Table;
-  WorkloadGenerator Gen(Model, Table);
-  RNG Rand(0xE2E ^ std::hash<std::string>{}(Model.Name));
-  TraceSet Runs = Gen.generateRuns(Rand);
-
-  ExtractorOptions Extract;
-  Extract.SeedNames = Model.Seeds;
-  Extract.TransitiveValues = true;
-  TraceSet Scenarios = extractScenarios(Runs, Extract);
-  ASSERT_GT(Scenarios.size(), 0u);
-  Automaton Ref =
-      makeProtocolReferenceFA(Scenarios.traces(), Scenarios.table(), Model);
-
-  // Both sessions go through the miner's debug-session wiring.
-  MinerOptions Serial;
-  Serial.Extract = Extract;
-  Serial.NumThreads = 1;
-  MinerOptions Parallel;
-  Parallel.Extract = Extract;
-  Parallel.NumThreads = 4;
-  Session S1 = Miner(Serial).debugSession(Scenarios, Ref);
-  Session S4 = Miner(Parallel).debugSession(std::move(Scenarios),
-                                            std::move(Ref));
-  EXPECT_EQ(S1.numThreads(), 1u);
-  EXPECT_EQ(S4.numThreads(), 4u);
-
-  // Bit-for-bit identical lattices: same ids, extents, intents, covers.
-  ASSERT_EQ(S1.lattice().size(), S4.lattice().size());
-  EXPECT_EQ(S1.lattice().top(), S4.lattice().top());
-  EXPECT_EQ(S1.lattice().bottom(), S4.lattice().bottom());
-  EXPECT_EQ(S1.lattice().numEdges(), S4.lattice().numEdges());
-  for (Session::NodeId Id = 0; Id < S1.lattice().size(); ++Id) {
-    EXPECT_TRUE(S1.lattice().node(Id).Extent == S4.lattice().node(Id).Extent)
-        << "c" << Id;
-    EXPECT_TRUE(S1.lattice().node(Id).Intent == S4.lattice().node(Id).Intent)
-        << "c" << Id;
-    EXPECT_EQ(S1.lattice().parents(Id), S4.lattice().parents(Id)) << "c" << Id;
-    EXPECT_EQ(S1.lattice().children(Id), S4.lattice().children(Id))
-        << "c" << Id;
-  }
-
-  // Run the full labeling session on both; every concept state and every
-  // trace label must come out the same.
-  Oracle Truth(Model, S1.table());
-  ReferenceLabeling Target1 = Truth.referenceLabeling(S1);
-  ReferenceLabeling Target4 = Truth.referenceLabeling(S4);
-  ExpertSimStrategy Expert;
-  StrategyCost Cost1 = Expert.run(S1, Target1);
-  StrategyCost Cost4 = Expert.run(S4, Target4);
-  ASSERT_TRUE(Cost1.Finished);
-  ASSERT_TRUE(Cost4.Finished);
-  EXPECT_EQ(Cost1.Inspections, Cost4.Inspections);
-  EXPECT_EQ(Cost1.LabelOps, Cost4.LabelOps);
-
-  for (Session::NodeId Id = 0; Id < S1.lattice().size(); ++Id)
-    EXPECT_EQ(S1.stateOf(Id), S4.stateOf(Id)) << "c" << Id;
-  for (size_t Obj = 0; Obj < S1.numObjects(); ++Obj) {
-    ASSERT_TRUE(S1.labelOf(Obj).has_value()) << "object " << Obj;
-    ASSERT_TRUE(S4.labelOf(Obj).has_value()) << "object " << Obj;
-    EXPECT_EQ(S1.labelName(*S1.labelOf(Obj)), S4.labelName(*S4.labelOf(Obj)))
-        << "object " << Obj;
-  }
-  EXPECT_EQ(S1.serializeLabels(), S4.serializeLabels());
-}

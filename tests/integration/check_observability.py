@@ -150,16 +150,14 @@ def main():
         if ev["ph"] == "X" and (ev["ts"] < 0 or ev["dur"] < 0):
             fail("negative ts/dur in %r" % ev)
     names = {ev.get("name") for ev in events}
-    for want in ("session-init", "lattice-build", "journal-fsync",
-                 "cmd status", "cmd label"):
+    for want in ("session-init", "lattice-build", "next-closure-enumerate",
+                 "lattice-covers", "journal-fsync", "cmd status", "cmd label"):
         if want not in names:
             fail("missing span %r (have %s)" % (want, sorted(names)))
     threads = {ev["args"]["name"] for ev in events
                if ev.get("name") == "thread_name"}
     if "main" not in threads:
         fail("main thread not named")
-    if not any(t.startswith("pool-worker-") for t in threads):
-        fail("no pool-worker thread in trace (ran with --threads 2)")
     if "otherData" not in trace or "git_sha" not in trace["otherData"]:
         fail("otherData build stamp missing")
 

@@ -96,7 +96,6 @@ TEST_F(FailpointTest, RegisteredNamesIncludeHitSites) {
   EXPECT_TRUE(Has("atomicfile-rename"));
   EXPECT_TRUE(Has("file-read"));
   EXPECT_TRUE(Has("journal-append"));
-  EXPECT_TRUE(Has("threadpool-dispatch"));
 }
 
 TEST_F(FailpointTest, CrashModeTerminatesWithTheCrashExitCode) {

@@ -62,33 +62,33 @@ TEST_F(MetricsTest, DisarmedMutationsAreDropped) {
 }
 
 TEST_F(MetricsTest, ConcurrentCounterIncrementsAreExact) {
-  constexpr int NumThreads = 8;
+  constexpr int kThreads = 8;
   constexpr uint64_t PerThread = 50000;
   Metrics::Counter &C = Metrics::counter("test.concurrent-counter");
   std::vector<std::thread> Threads;
-  for (int T = 0; T < NumThreads; ++T)
+  for (int T = 0; T < kThreads; ++T)
     Threads.emplace_back([&C] {
       for (uint64_t I = 0; I < PerThread; ++I)
         C.add();
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(C.value(), NumThreads * PerThread);
+  EXPECT_EQ(C.value(), kThreads * PerThread);
 }
 
 TEST_F(MetricsTest, ConcurrentHistogramCountsAreExact) {
-  constexpr int NumThreads = 4;
+  constexpr int kThreads = 4;
   constexpr uint64_t PerThread = 20000;
   Metrics::Histogram &H = Metrics::histogram("test.concurrent-histogram");
   std::vector<std::thread> Threads;
-  for (int T = 0; T < NumThreads; ++T)
+  for (int T = 0; T < kThreads; ++T)
     Threads.emplace_back([&H, T] {
       for (uint64_t I = 0; I < PerThread; ++I)
         H.record(static_cast<uint64_t>(T));
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(H.count(), NumThreads * PerThread);
+  EXPECT_EQ(H.count(), kThreads * PerThread);
   EXPECT_EQ(H.max(), 3u);
   // Values 0..3 land in buckets 0 (v==0), 1 (v==1), 2 (2<=v<4).
   EXPECT_EQ(H.bucketCount(0), PerThread);

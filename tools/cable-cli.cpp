@@ -80,11 +80,6 @@ void printUsage() {
       "  --seed EVENT       seed-order template on EVENT, e.g. XtFree(v0)\n"
       "  --recommended      protocol's recommended FA (with --protocol)\n"
       "\n"
-      "performance:\n"
-      "  --threads N        lattice-construction workers (0 = hardware\n"
-      "                     concurrency, 1 = serial; same lattice either\n"
-      "                     way; default 0)\n"
-      "\n"
       "lattice cache:\n"
       "  --cache-dir DIR    content-addressed lattice artifact store: a\n"
       "                     completed build publishes its lattice (atomic\n"
@@ -738,11 +733,6 @@ int runCli(int Argc, char **Argv) {
         return 1;
       }
       Log::setLevel(L);
-    } else if (Arg == "--threads") {
-      std::optional<unsigned long> N;
-      if (!NextNumber("--threads", N))
-        return 1;
-      BuildOpts.NumThreads = static_cast<unsigned>(*N);
     } else if (Arg == "--time-budget") {
       std::optional<unsigned long> N;
       if (!NextNumber("--time-budget", N))
@@ -1085,9 +1075,8 @@ int runCli(int Argc, char **Argv) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  // A worker-thread exception (a real bad_alloc, or an injected
-  // threadpool-dispatch fault) surfaces here instead of aborting; the
-  // journal on disk stays valid either way.
+  // An escaping exception (e.g. a real bad_alloc) surfaces here instead
+  // of aborting; the journal on disk stays valid either way.
   int Code;
   try {
     Code = runCli(Argc, Argv);

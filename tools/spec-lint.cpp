@@ -98,8 +98,6 @@ void printUsage() {
       "  --report FILE      also write the cluster report to FILE\n"
       "                     (atomic replace: readers never see a torn file)\n"
       "  --dot FILE         write the violation lattice as Graphviz DOT\n"
-      "  --threads N        lattice-construction workers (0 = hardware\n"
-      "                     concurrency, 1 = serial; default 0)\n"
       "  --time-budget MS   wall-clock limit per pipeline phase (scenario\n"
       "                     checking, violation clustering)\n"
       "  --max-concepts N   stop clustering after enumerating N concepts\n"
@@ -214,8 +212,8 @@ int runLint(int Argc, char **Argv) {
       ReportFile = Next();
     else if (Arg == "--dot")
       DotFile = Next();
-    else if (Arg == "--max-samples" || Arg == "--threads" ||
-             Arg == "--time-budget" || Arg == "--max-concepts") {
+    else if (Arg == "--max-samples" || Arg == "--time-budget" ||
+             Arg == "--max-concepts") {
       std::string Value = Next();
       unsigned long N;
       if (!parseCount(Value, N)) {
@@ -225,8 +223,6 @@ int runLint(int Argc, char **Argv) {
       }
       if (Arg == "--max-samples")
         MaxSamples = N;
-      else if (Arg == "--threads")
-        BuildOpts.NumThreads = static_cast<unsigned>(N);
       else if (Arg == "--time-budget")
         BuildOpts.ResourceBudget.TimeLimit = std::chrono::milliseconds(N);
       else
