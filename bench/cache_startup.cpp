@@ -95,7 +95,7 @@ int main() {
   std::string Key = Meta.ContextHash + ".nextclosure.full";
 
   const int Reps = bench::BenchReport::quick() ? 5 : 25;
-  std::vector<double> Rebuild, WarmLoad, WarmLoadHeader;
+  std::vector<double> Rebuild, WarmLoad;
 
   // One-time warm-up price: serialize + atomic publish.
   {
@@ -106,31 +106,6 @@ int main() {
       return 1;
     }
   }
-
-  // The loaded lattice is kept alive past the timer: a real warm start
-  // moves it into the session, so its eventual destruction is not a
-  // startup cost (the rebuild loop gets the same treatment).
-  auto LoadOnce = [&](const char *Section, LatticeVerify Verify,
-                      std::vector<double> &Out) {
-    std::optional<ConceptLattice> Keep;
-    auto T0 = std::chrono::steady_clock::now();
-    Status St = Store.load(Key, [&](std::string_view Bytes) {
-      StatusOr<ConceptLattice> L = ConceptLattice::deserialize(
-          Bytes, Meta, Verify, Store.artifactPath(Key));
-      if (!L.isOk())
-        return L.status();
-      Keep.emplace(std::move(L.value()));
-      return Status::ok();
-    });
-    double Ms = msSince(T0);
-    if (!St.isOk() || !Keep || Keep->size() != Concepts) {
-      std::fprintf(stderr, "FATAL: warm load failed: %s\n",
-                   St.message().c_str());
-      std::exit(1);
-    }
-    Report.sample(Section, Ms);
-    Out.push_back(Ms);
-  };
 
   for (int R = 0; R < Reps; ++R) {
     {
@@ -143,8 +118,27 @@ int main() {
       Report.sample("rebuild", Ms);
       Rebuild.push_back(Ms);
     }
-    LoadOnce("warm-load", LatticeVerify::Full, WarmLoad);
-    LoadOnce("warm-load-header", LatticeVerify::Header, WarmLoadHeader);
+    // The loaded lattice is kept alive past the timer: a real warm start
+    // moves it into the session, so its eventual destruction is not a
+    // startup cost (the rebuild above gets the same treatment).
+    std::optional<ConceptLattice> Keep;
+    auto T0 = std::chrono::steady_clock::now();
+    Status St = Store.load(Key, [&](std::string_view Bytes) {
+      StatusOr<ConceptLattice> L = ConceptLattice::deserialize(
+          Bytes, Meta, Store.artifactPath(Key));
+      if (!L.isOk())
+        return L.status();
+      Keep.emplace(std::move(L.value()));
+      return Status::ok();
+    });
+    double Ms = msSince(T0);
+    if (!St.isOk() || !Keep || Keep->size() != Concepts) {
+      std::fprintf(stderr, "FATAL: warm load failed: %s\n",
+                   St.message().c_str());
+      return 1;
+    }
+    Report.sample("warm-load", Ms);
+    WarmLoad.push_back(Ms);
   }
 
   // End-to-end context: the same swap inside Session::build, where the
@@ -172,20 +166,16 @@ int main() {
   std::system(Purge.c_str());
 
   double Speedup = median(Rebuild) / median(WarmLoad);
-  double SpeedupHeader = median(Rebuild) / median(WarmLoadHeader);
   double SessionSpeedup = median(SessionCold) / median(SessionWarm);
   Report.counter("concepts", static_cast<double>(Concepts));
   Report.counter("warm_speedup", Speedup);
-  Report.counter("warm_speedup_header_verify", SpeedupHeader);
   Report.counter("session_speedup", SessionSpeedup);
 
   std::printf("cache startup (XtFree, %zu concepts, %d reps)\n", Concepts,
               Reps);
   std::printf("  rebuild            %8.3f ms (median)\n", median(Rebuild));
-  std::printf("  warm-load (full)   %8.3f ms (median)\n", median(WarmLoad));
-  std::printf("  warm-load (header) %8.3f ms (median)\n",
-              median(WarmLoadHeader));
-  std::printf("  warm_speedup       %8.1fx (full verify)\n", Speedup);
+  std::printf("  warm-load          %8.3f ms (median)\n", median(WarmLoad));
+  std::printf("  warm_speedup       %8.1fx\n", Speedup);
   std::printf("  session cold/warm  %8.3f / %.3f ms -> %.1fx\n",
               median(SessionCold), median(SessionWarm), SessionSpeedup);
   Report.write();

@@ -6,24 +6,26 @@
 //===----------------------------------------------------------------------===//
 //
 // The --journal flag makes every command durable before it is applied
-// (cable/Journal.h). These sweeps put a number on that durability tax
-// over a scripted ~50-op labeling session of the shape the paper's Step 2
-// describes — inspect a suggested concept (describe, FA summary, traces),
-// label it, occasionally undo — so the "journal append overhead stays
-// under 5% of the session it protects" claim is measured, not assumed.
-// Both sync policies are swept: batch (the --script default, group
-// commit) is the one the 5% budget applies to; always (the interactive
-// default, fsync per command) shows what per-command power-loss
-// durability costs on this filesystem. The disabled-failpoint sweep pins
-// the other robustness claim: an unarmed Failpoint::hit() is one relaxed
-// atomic load, cheap enough to leave compiled into every fsync and
-// rename on the hot path.
+// (cable/Journal.h). The scripted-session probes put a number on that
+// durability tax over a ~60-command labeling session of the shape the
+// paper's Step 2 describes — inspect a concept (ls, FA summary, traces),
+// label it, occasionally undo — driven through the command interpreter
+// cable-cli uses (tool/Commands.h), so the journaled rows time the real
+// write-ahead loop: append, apply, render, and a snapshot every 25
+// commands (the --snapshot-every default). Both sync policies are
+// measured: batch (the --script default, group commit) and always (the
+// interactive default, one fsync per command, the price of power-loss
+// durability on this filesystem). The google-benchmark sweeps time one
+// snapshot compaction and pin the other robustness claim: an unarmed
+// Failpoint::hit() is one relaxed atomic load, cheap enough to leave
+// compiled into every fsync and rename on the hot path.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cable/Journal.h"
 #include "cable/Session.h"
 #include "support/Failpoint.h"
+#include "tool/Commands.h"
 #include "workload/Protocols.h"
 
 #include "BenchCommon.h"
@@ -31,104 +33,63 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace cable;
 
 namespace {
 
-/// One scripted labeling pass over \p S: 10 rounds of the paper's
-/// inspect-then-label loop, ~60 journaled commands total. When \p J is
-/// set, each command is appended before it is applied, the cable-cli
-/// write-ahead discipline. Snapshot compaction is a separately tunable
-/// (--snapshot-every) cost with its own sweep below.
-void runScriptedSession(Session &S, Journal *J) {
-  auto Op = [&](const char *Cmd) {
-    if (J)
-      benchmark::DoNotOptimize(J->append(Cmd));
-  };
-  LabelId Good = S.internLabel("good");
-  LabelId Bad = S.internLabel("bad");
-  size_t N = S.lattice().size();
-  for (int Round = 0; Round < 10; ++Round) {
-    Session::NodeId Id = static_cast<Session::NodeId>((Round + 1) % N);
-    // Inspect before labeling, the way a user would.
-    Op("ls");
-    benchmark::DoNotOptimize(S.describeConcept(Id));
-    Op("fa cN");
-    benchmark::DoNotOptimize(S.showFA(Id, TraceSelect::All));
-    Op("traces cN");
-    benchmark::DoNotOptimize(S.showTraces(Id, TraceSelect::All));
-    Op("label cN good");
-    S.labelTraces(Id, TraceSelect::All, Good);
-    Op("label cN bad unlabeled");
-    S.labelTraces(static_cast<Session::NodeId>((Round + 2) % N),
-                  TraceSelect::Unlabeled, Bad);
-    Op("undo");
-    S.undo();
-  }
-  S.clearLabels();
-}
-
-/// Builds the stdio session once; iterations reuse it (clearLabels resets
-/// all mutable state the script touches).
+/// Builds the stdio session once; each interpreter starts from a copy.
 Session &stdioSession() {
   static bench::SpecEvaluation Eval =
       bench::evaluateProtocol(stdioProtocol());
   return *Eval.S;
 }
 
-void removeJournalDir(const std::string &Dir) {
-  ::unlink(Journal::logPath(Dir).c_str());
-  ::unlink(Journal::snapshotPath(Dir).c_str());
-  ::unlink(Journal::markerPath(Dir).c_str());
-  ::rmdir(Dir.c_str());
+/// One scripted labeling pass: 10 rounds of the paper's inspect-then-label
+/// loop, 60 command lines.
+const std::vector<std::string> &scriptLines() {
+  static const std::vector<std::string> Lines = [] {
+    std::vector<std::string> Out;
+    size_t N = stdioSession().lattice().size();
+    for (size_t Round = 0; Round < 10; ++Round) {
+      std::string Id = "c" + std::to_string((Round + 1) % N);
+      std::string Next = "c" + std::to_string((Round + 2) % N);
+      // Inspect before labeling, the way a user would.
+      Out.push_back("ls");
+      Out.push_back("fa " + Id);
+      Out.push_back("traces " + Id);
+      Out.push_back("label " + Id + " good all");
+      Out.push_back("label " + Next + " bad unlabeled");
+      Out.push_back("undo");
+    }
+    return Out;
+  }();
+  return Lines;
 }
 
-void BM_ScriptedSessionPlain(benchmark::State &State) {
-  Session &S = stdioSession();
-  for (auto _ : State)
-    runScriptedSession(S, nullptr);
+/// Runs the pass, then resets the labels so every pass starts alike.
+void runScriptedSession(CommandInterpreter &Cli) {
+  for (const std::string &Line : scriptLines())
+    benchmark::DoNotOptimize(Cli.run(Line));
+  Cli.current().clearLabels();
 }
-BENCHMARK(BM_ScriptedSessionPlain)->Unit(benchmark::kMicrosecond);
 
-/// Arg 0 = SyncPolicy::Batched (the --script default; the <=5% append-
-/// overhead budget is judged against this row), 1 = EveryRecord (the
-/// interactive default: one fsync per command, the price of surviving a
-/// power cut with at most the in-flight command lost). The journal stays
-/// open across iterations the way it stays open across a session; its
-/// one-time open/close cost is not an append cost.
-void BM_ScriptedSessionJournaled(benchmark::State &State) {
-  Session &S = stdioSession();
-  Journal::SyncPolicy Policy = State.range(0) == 0
-                                   ? Journal::SyncPolicy::Batched
-                                   : Journal::SyncPolicy::EveryRecord;
-  std::string Dir = "/tmp/cable_bench_journal";
-  removeJournalDir(Dir);
-  Journal::Recovery Rec;
-  StatusOr<Journal> J = Journal::open(Dir, Rec);
-  if (!J.isOk()) {
-    State.SkipWithError(J.status().message().c_str());
-    return;
+/// An interpreter journaling to a fresh \p Dir under \p Policy, or null
+/// (with a warning) when the journal cannot be opened.
+std::unique_ptr<CommandInterpreter> journaled(const std::string &Dir,
+                                              Journal::SyncPolicy Policy) {
+  std::filesystem::remove_all(Dir);
+  auto Cli = std::make_unique<CommandInterpreter>(stdioSession());
+  CommandResult R = Cli->openJournal(Dir, Policy, /*SnapshotEvery=*/25);
+  if (R.Fatal) {
+    std::fprintf(stderr, "warning: %s", R.Err.c_str());
+    return nullptr;
   }
-  J->setSyncPolicy(Policy);
-  for (auto _ : State) {
-    runScriptedSession(S, &*J);
-    // Compact outside the timed region so the log cannot grow without
-    // bound; the snapshot cost has its own sweep below.
-    State.PauseTiming();
-    benchmark::DoNotOptimize(J->snapshot(S.serializeSnapshot()));
-    State.ResumeTiming();
-  }
-  benchmark::DoNotOptimize(J->closeClean());
-  removeJournalDir(Dir);
+  return Cli;
 }
-BENCHMARK(BM_ScriptedSessionJournaled)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
 
 /// One compaction: serialize the session state, write it atomically,
 /// truncate the log. Paid every --snapshot-every commands (default 25)
@@ -136,7 +97,7 @@ BENCHMARK(BM_ScriptedSessionJournaled)
 void BM_JournalSnapshotCompaction(benchmark::State &State) {
   Session &S = stdioSession();
   std::string Dir = "/tmp/cable_bench_snapshot";
-  removeJournalDir(Dir);
+  std::filesystem::remove_all(Dir);
   Journal::Recovery Rec;
   StatusOr<Journal> J = Journal::open(Dir, Rec);
   if (!J.isOk()) {
@@ -149,7 +110,7 @@ void BM_JournalSnapshotCompaction(benchmark::State &State) {
     benchmark::DoNotOptimize(J->snapshot(S.serializeSnapshot()));
   S.clearLabels();
   benchmark::DoNotOptimize(J->closeClean());
-  removeJournalDir(Dir);
+  std::filesystem::remove_all(Dir);
 }
 BENCHMARK(BM_JournalSnapshotCompaction)->Unit(benchmark::kMicrosecond);
 
@@ -175,39 +136,32 @@ BENCHMARK(BM_FailpointLoopBaseline);
 
 } // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): always emit the BENCH JSON
-// (plain vs. journaled scripted-session probes under both sync
-// policies), and run the google-benchmark sweeps only outside quick
-// mode. The metrics snapshot picks up journal.append-us / fsync-us
-// histograms from the probes for free.
+// Custom main instead of BENCHMARK_MAIN(): the scripted-session probes
+// (plain vs. journaled under both sync policies) go to the BENCH JSON, and
+// the google-benchmark sweeps run only outside quick mode. The metrics
+// snapshot picks up journal.append-us / fsync-us histograms from the
+// probes for free.
 int main(int Argc, char **Argv) {
   cable::bench::BenchReport Report("journal_overhead");
   {
-    Session &S = stdioSession();
     int Samples = cable::bench::BenchReport::quick() ? 3 : 11;
+    CommandInterpreter Plain(stdioSession());
     for (int I = 0; I < Samples; ++I)
       Report.timeSample("scripted-session-plain",
-                        [&] { runScriptedSession(S, nullptr); });
+                        [&] { runScriptedSession(Plain); });
     for (Journal::SyncPolicy Policy :
          {Journal::SyncPolicy::Batched, Journal::SyncPolicy::EveryRecord}) {
       std::string Dir = "/tmp/cable_bench_journal_json";
-      removeJournalDir(Dir);
-      Journal::Recovery Rec;
-      StatusOr<Journal> J = Journal::open(Dir, Rec);
-      if (!J.isOk()) {
-        std::fprintf(stderr, "warning: %s\n", J.status().message().c_str());
+      std::unique_ptr<CommandInterpreter> Cli = journaled(Dir, Policy);
+      if (!Cli)
         continue;
-      }
-      J->setSyncPolicy(Policy);
       const char *Section = Policy == Journal::SyncPolicy::Batched
                                 ? "scripted-session-journal-batch"
                                 : "scripted-session-journal-fsync";
-      for (int I = 0; I < Samples; ++I) {
-        Report.timeSample(Section, [&] { runScriptedSession(S, &*J); });
-        benchmark::DoNotOptimize(J->snapshot(S.serializeSnapshot()));
-      }
-      benchmark::DoNotOptimize(J->closeClean());
-      removeJournalDir(Dir);
+      for (int I = 0; I < Samples; ++I)
+        Report.timeSample(Section, [&] { runScriptedSession(*Cli); });
+      benchmark::DoNotOptimize(Cli->close());
+      std::filesystem::remove_all(Dir);
     }
   }
   if (!cable::bench::BenchReport::quick()) {

@@ -14,7 +14,8 @@
 /// (labels + undo history, Session::serializeSnapshot) is written
 /// atomically every few commands. Recovery is deterministic replay:
 /// restore the snapshot, then re-execute the journal tail through the
-/// very same command dispatcher that produced it. Because every command
+/// very same command dispatcher that produced it (tool/Commands.h; a
+/// `load` record carries the bytes it read). Because every command
 /// handler is deterministic (lattice construction is a pure function of
 /// the context, the oracle strategy carries no RNG), the recovered
 /// session is bit-identical to the lost one up to the last durable record;

@@ -129,7 +129,7 @@ Status Session::init(const SessionOptions &Options) {
     bool Loaded = false;
     Status S = Store->load(CacheKey, [&](std::string_view Bytes) -> Status {
       StatusOr<ConceptLattice> L = ConceptLattice::deserialize(
-          Bytes, Meta, Options.CacheVerifyMode, Store->artifactPath(CacheKey));
+          Bytes, Meta, Store->artifactPath(CacheKey));
       if (!L.isOk())
         return L.status();
       Lattice = std::move(*L);
@@ -232,11 +232,17 @@ BitVector Session::ownObjects(NodeId Id) const {
 }
 
 LabelId Session::internLabel(std::string_view Name) {
+  if (std::optional<LabelId> Id = findLabel(Name))
+    return *Id;
+  LabelNames.emplace_back(Name);
+  return static_cast<LabelId>(LabelNames.size() - 1);
+}
+
+std::optional<LabelId> Session::findLabel(std::string_view Name) const {
   for (LabelId Id = 0; Id < LabelNames.size(); ++Id)
     if (LabelNames[Id] == Name)
       return Id;
-  LabelNames.emplace_back(Name);
-  return static_cast<LabelId>(LabelNames.size() - 1);
+  return std::nullopt;
 }
 
 void Session::clearLabels() {
@@ -258,8 +264,7 @@ BitVector Session::selectObjects(NodeId Id, TraceSelect Select,
         Out.set(Obj);
       break;
     case TraceSelect::WithLabel:
-      assert(From && "WithLabel requires a source label");
-      if (Labels[Obj] && *Labels[Obj] == *From)
+      if (From && Labels[Obj] == *From)
         Out.set(Obj);
       break;
     }

@@ -50,7 +50,8 @@ using LabelId = uint32_t;
 enum class TraceSelect {
   All,       ///< Every trace in the concept.
   Unlabeled, ///< Only traces with no label yet.
-  WithLabel, ///< Only traces currently carrying a specific label.
+  WithLabel, ///< Only traces currently carrying a specific label (none
+             ///< when that label is unset: an unknown label has no traces).
 };
 
 /// Labeling state of one concept (§4.1).
@@ -86,11 +87,6 @@ struct SessionOptions {
   /// truncation is timing-dependent, so the result is not a pure function
   /// of the key.
   std::string CacheDir;
-
-  /// Verification depth for cache loads: Full (default) checks the body
-  /// CRC as well as the header and structure; Header skips the body CRC
-  /// (structural bounds are always enforced).
-  LatticeVerify CacheVerifyMode = LatticeVerify::Full;
 
   /// Bound on waiting for a concurrent process building the same key
   /// (stale-lock breaking: after this, build inline without publishing).
@@ -173,6 +169,10 @@ public:
 
   /// Interns \p Name, returning its id.
   LabelId internLabel(std::string_view Name);
+
+  /// The id of label \p Name, if it exists; never creates one (read-only
+  /// views look labels up, only labeling interns them).
+  std::optional<LabelId> findLabel(std::string_view Name) const;
   size_t numLabels() const { return LabelNames.size(); }
   const std::string &labelName(LabelId Id) const { return LabelNames[Id]; }
 

@@ -498,7 +498,7 @@ std::string ConceptLattice::serialize(const LatticeArtifactMeta &Meta) const {
 StatusOr<ConceptLattice>
 ConceptLattice::deserialize(std::string_view Bytes,
                             const LatticeArtifactMeta &Expect,
-                            LatticeVerify Mode, const std::string &File,
+                            const std::string &File,
                             LatticeArtifactMeta *Got) {
   if (Bytes.size() < kPreambleSize)
     return artifactError(File, Bytes.size(),
@@ -571,7 +571,7 @@ ConceptLattice::deserialize(std::string_view Bytes,
   if (Expect.NumAttributes && Expect.NumAttributes != M.NumAttributes)
     return artifactError(File, kPreambleSize, "attribute count mismatch");
 
-  if (Mode == LatticeVerify::Full && crc32(Body) != BodyCrc)
+  if (crc32(Body) != BodyCrc)
     return artifactError(File, 20, "body checksum mismatch");
 
   const size_t C = *NumC;

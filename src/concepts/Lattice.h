@@ -50,11 +50,6 @@ struct LatticeArtifactMeta {
   bool Truncated = false;
 };
 
-/// Verification depth for ConceptLattice::deserialize. Structural bounds
-/// (node ids, section lengths, bit-vector tails) are always checked —
-/// Header only skips the body CRC pass.
-enum class LatticeVerify { Full, Header };
-
 /// A formal concept: an extent/intent pair.
 struct Concept {
   BitVector Extent;
@@ -151,18 +146,17 @@ public:
   std::string serialize(const LatticeArtifactMeta &Meta) const;
 
   /// Decodes a serialize() artifact, verifying magic, format version,
-  /// header CRC, and that \p Expect's context hash / builder / budget /
+  /// header CRC, that \p Expect's context hash / builder / budget /
   /// dimensions match the stamped header (empty Expect fields match
-  /// anything). \p Mode Full additionally checks the body CRC. Every
-  /// structural invariant is validated before use: section bounds, node
-  /// ids in range, clean bit-vector tails, parent/child symmetry, and
-  /// top/bottom consistency. Failures produce a positioned Diagnostic
-  /// naming \p File and the byte offset — corrupt artifacts are rejected,
-  /// never half-loaded. \p Got, when non-null, receives the stamped
-  /// metadata (even on some failures, best-effort).
+  /// anything), and the body CRC. Every structural invariant is validated
+  /// before use: section bounds, node ids in range, clean bit-vector
+  /// tails, parent/child symmetry, and top/bottom consistency. Failures
+  /// produce a positioned Diagnostic naming \p File and the byte offset —
+  /// corrupt artifacts are rejected, never half-loaded. \p Got, when
+  /// non-null, receives the stamped metadata (even on some failures,
+  /// best-effort).
   static StatusOr<ConceptLattice> deserialize(std::string_view Bytes,
                                               const LatticeArtifactMeta &Expect,
-                                              LatticeVerify Mode,
                                               const std::string &File,
                                               LatticeArtifactMeta *Got
                                               = nullptr);

@@ -9,6 +9,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdarg>
+#include <cstdio>
 
 using namespace cable;
 
@@ -105,4 +107,19 @@ std::string cable::padString(std::string_view Text, size_t Width) {
   while (Out.size() < Width)
     Out += ' ';
   return Out;
+}
+
+void cable::appendf(std::string &Out, const char *Fmt, ...) {
+  va_list Ap, Copy;
+  va_start(Ap, Fmt);
+  va_copy(Copy, Ap);
+  int N = std::vsnprintf(nullptr, 0, Fmt, Ap);
+  va_end(Ap);
+  if (N > 0) {
+    size_t At = Out.size();
+    Out.resize(At + static_cast<size_t>(N) + 1);
+    std::vsnprintf(Out.data() + At, static_cast<size_t>(N) + 1, Fmt, Copy);
+    Out.resize(At + static_cast<size_t>(N));
+  }
+  va_end(Copy);
 }

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small string helpers used by the trace parser, the Cable REPL, and the
-/// table printers in bench/.
+/// Small string helpers used by the trace parser, the command interpreter,
+/// and the table printers in bench/.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +57,12 @@ std::optional<unsigned long> parseUnsignedLong(std::string_view Text);
 
 /// Left-pads or truncates \p Text to exactly \p Width columns.
 std::string padString(std::string_view Text, size_t Width);
+
+/// Appends printf-style formatted text to \p Out (any length). Reports and
+/// command output are built with it so they can go to stdout, a file, or
+/// a caller in one rendering pass.
+void appendf(std::string &Out, const char *Fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 } // namespace cable
 

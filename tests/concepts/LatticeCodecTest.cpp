@@ -16,6 +16,7 @@
 #include "concepts/Lattice.h"
 
 #include "concepts/NextClosureBuilder.h"
+#include "support/AtomicFile.h"
 #include "support/RNG.h"
 #include "support/simd/Kernels.h"
 
@@ -94,7 +95,7 @@ void expectLatticesIdentical(const ConceptLattice &A,
 void expectRejected(std::string_view Bytes, const LatticeArtifactMeta &Expect,
                     const char *MessagePart) {
   StatusOr<ConceptLattice> R = ConceptLattice::deserialize(
-      Bytes, Expect, LatticeVerify::Full, "artifact.bin");
+      Bytes, Expect, "artifact.bin");
   ASSERT_FALSE(R.isOk()) << "expected rejection: " << MessagePart;
   EXPECT_NE(R.status().message().find(MessagePart), std::string::npos)
       << "got: " << R.status().message();
@@ -113,7 +114,7 @@ TEST(LatticeCodecTest, RoundTripAnimals) {
   std::string Bytes = L.serialize(Meta);
   LatticeArtifactMeta Got;
   StatusOr<ConceptLattice> R = ConceptLattice::deserialize(
-      Bytes, Meta, LatticeVerify::Full, "artifact.bin", &Got);
+      Bytes, Meta, "artifact.bin", &Got);
   ASSERT_TRUE(R.isOk()) << R.status().message();
   expectLatticesIdentical(L, R.value());
 
@@ -137,7 +138,7 @@ TEST(LatticeCodecTest, RoundTripRandomContexts) {
 
     std::string Bytes = L.serialize(Meta);
     StatusOr<ConceptLattice> R = ConceptLattice::deserialize(
-        Bytes, Meta, LatticeVerify::Full, "artifact.bin");
+        Bytes, Meta, "artifact.bin");
     ASSERT_TRUE(R.isOk()) << "seed " << Seed << ": " << R.status().message();
     expectLatticesIdentical(L, R.value());
     EXPECT_EQ(R.value().serialize(Meta), Bytes) << "seed " << Seed;
@@ -145,26 +146,6 @@ TEST(LatticeCodecTest, RoundTripRandomContexts) {
     std::string Why;
     EXPECT_TRUE(R.value().verify(Ctx, &Why)) << Why;
   }
-}
-
-TEST(LatticeCodecTest, HeaderModeSkipsBodyCrcOnly) {
-  Context Ctx = animalsContext();
-  ConceptLattice L = NextClosureBuilder::buildLattice(Ctx);
-  LatticeArtifactMeta Meta = metaFor(Ctx);
-  std::string Bytes = L.serialize(Meta);
-
-  // Header mode still decodes a clean artifact correctly...
-  StatusOr<ConceptLattice> R = ConceptLattice::deserialize(
-      Bytes, Meta, LatticeVerify::Header, "artifact.bin");
-  ASSERT_TRUE(R.isOk()) << R.status().message();
-  expectLatticesIdentical(L, R.value());
-
-  // ...and still enforces every structural invariant: truncation is
-  // caught by section-length checks, not the CRC.
-  std::string Short = Bytes.substr(0, Bytes.size() - 8);
-  EXPECT_FALSE(ConceptLattice::deserialize(Short, Meta, LatticeVerify::Header,
-                                           "artifact.bin")
-                   .isOk());
 }
 
 TEST(LatticeCodecTest, ExpectMismatchRejected) {
@@ -191,9 +172,8 @@ TEST(LatticeCodecTest, ExpectMismatchRejected) {
 
   // Empty Expect fields match anything: a bare probe decodes fine.
   LatticeArtifactMeta AnyMeta;
-  EXPECT_TRUE(ConceptLattice::deserialize(Bytes, AnyMeta, LatticeVerify::Full,
-                                          "artifact.bin")
-                  .isOk());
+  EXPECT_TRUE(
+      ConceptLattice::deserialize(Bytes, AnyMeta, "artifact.bin").isOk());
 }
 
 TEST(LatticeCodecTest, CorruptCorpusRejectedWithPosition) {
@@ -226,14 +206,16 @@ TEST(LatticeCodecTest, CorruptCorpusRejectedWithPosition) {
   BadBody.back() ^= 0x01;
   expectRejected(BadBody, Meta, "body checksum");
 
-  // Truncated body.
+  // Truncated body, by a byte and by a whole word: caught by the section
+  // lengths before any CRC or body byte is looked at.
   expectRejected(Bytes.substr(0, Bytes.size() - 1), Meta, "length");
+  expectRejected(Bytes.substr(0, Bytes.size() - 8), Meta, "length");
 
   // Trailing garbage.
   expectRejected(Bytes + "x", Meta, "length");
 }
 
-TEST(LatticeCodecTest, AsymmetricAdjacencyRejectedEvenInHeaderMode) {
+TEST(LatticeCodecTest, AsymmetricAdjacencyRejectedPastBodyCrc) {
   Context Ctx = animalsContext();
   ConceptLattice L = NextClosureBuilder::buildLattice(Ctx);
   LatticeArtifactMeta Meta = metaFor(Ctx);
@@ -241,8 +223,9 @@ TEST(LatticeCodecTest, AsymmetricAdjacencyRejectedEvenInHeaderMode) {
 
   // Rewrite the low byte of the first parent id to a different (still
   // in-range) node: the CSR stays well-formed, only the parent/child
-  // cover symmetry breaks. Header mode skips the body CRC, so this is
-  // exactly the corruption only the symmetry check can catch.
+  // cover symmetry breaks. The body CRC at offset 20 is then rewritten to
+  // match, so this is exactly the corruption only the symmetry check can
+  // catch (a forged checksum, not a random bit flip).
   const size_t C = L.size();
   const size_t EW = (Meta.NumObjects + 63) / 64;
   const size_t IW = (Meta.NumAttributes + 63) / 64;
@@ -255,9 +238,12 @@ TEST(LatticeCodecTest, AsymmetricAdjacencyRejectedEvenInHeaderMode) {
   ASSERT_LT(IdsAt, Bytes.size());
   unsigned OldId = static_cast<unsigned char>(Bytes[IdsAt]);
   Bytes[IdsAt] = static_cast<char>((OldId + 1) % C);
+  uint32_t BodyCrc = crc32(std::string_view(Bytes).substr(40 + HeaderLen));
+  for (int B = 0; B < 4; ++B)
+    Bytes[20 + B] = static_cast<char>(BodyCrc >> (8 * B));
 
-  StatusOr<ConceptLattice> R = ConceptLattice::deserialize(
-      Bytes, Meta, LatticeVerify::Header, "artifact.bin");
+  StatusOr<ConceptLattice> R =
+      ConceptLattice::deserialize(Bytes, Meta, "artifact.bin");
   ASSERT_FALSE(R.isOk());
   EXPECT_NE(R.status().message().find("adjacency lists disagree"),
             std::string::npos)
@@ -292,7 +278,7 @@ TEST(LatticeCodecTest, TruncatedFlagRoundTrips) {
 
   LatticeArtifactMeta Got;
   StatusOr<ConceptLattice> R =
-      ConceptLattice::deserialize(L.serialize(Meta), Meta, LatticeVerify::Full,
+      ConceptLattice::deserialize(L.serialize(Meta), Meta,
                                   "artifact.bin", &Got);
   ASSERT_TRUE(R.isOk()) << R.status().message();
   EXPECT_TRUE(Got.Truncated);

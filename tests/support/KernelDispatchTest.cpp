@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Lives in the cable_parallel_tests binary so the TSan lane proves the
+// Lives in the cable_concurrency_tests binary so the TSan lane proves the
 // kernel dispatch singleton is race-free: many threads hitting ops() as
 // their first-ever use (the lazy-init path) and then hammering kernels
 // concurrently must produce correct results and no data-race reports.

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// This file lives in cable_parallel_tests so the concurrent-emit test runs
+// This file lives in cable_concurrency_tests so the concurrent-emit test runs
 // under -DCABLE_SANITIZE=thread: the armed path's contract is per-thread
 // rings that are lock-free against each other, which TSan verifies has no
 // data race rather than a benign one.

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// This file lives in cable_parallel_tests so the concurrent-increment
+// This file lives in cable_concurrency_tests so the concurrent-increment
 // tests run under -DCABLE_SANITIZE=thread: the registry's contract is a
 // lock-free armed hot path with *exact* counts, which TSan verifies has
 // no data race rather than a benign one.

@@ -77,3 +77,13 @@ TEST(DotTest, RendersDigraph) {
   EXPECT_NE(Out.find("\"n2\" -> \"n1\";"), std::string::npos);
   EXPECT_EQ(Out.back(), '\n');
 }
+
+TEST(StringUtilTest, AppendfShortAndLong) {
+  std::string Out = "x=";
+  appendf(Out, "%d %s", 42, "ok");
+  EXPECT_EQ(Out, "x=42 ok");
+  // Longer than the on-stack buffer: still exact.
+  std::string Long(2000, 'a');
+  appendf(Out, "[%s]", Long.c_str());
+  EXPECT_EQ(Out, "x=42 ok[" + Long + "]");
+}
