@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace cable;
@@ -301,13 +302,18 @@ void coverSpeedupProbe(cable::bench::BenchReport &Report, size_t NumObjects,
   Report.counter("cover_edges_agree_" + Tag, ScanEdges == CountEdges ? 1 : 0);
 }
 
-/// Per-kernel throughput sections at one dispatch level, pinned with
-/// ForcedLevelGuard: kernel-{and,subset,popcount,andmany}-<level>.
-void kernelThroughputProbe(cable::bench::BenchReport &Report, simd::Level L,
-                           int Samples, int Reps) {
-  simd::ForcedLevelGuard Guard(L);
-  const simd::KernelOps &O = simd::ops();
-  std::string Suffix = std::string("-") + simd::levelName(L);
+/// Fused-AND throughput sections for each form this CPU can run:
+/// kernel-andmany-portable, and kernel-andmany-avx2 when the CPU has AVX2.
+/// kernel_guard.sh gates on the AVX2 form not being slower.
+void andManyThroughputProbe(cable::bench::BenchReport &Report, int Samples,
+                            int Reps) {
+  using AndManyFn = decltype(&simd::andManyInto);
+  std::vector<std::pair<std::string, AndManyFn>> Forms = {
+      {"portable", simd::andManyInto}};
+#ifdef CABLE_KERNELS_HAVE_AVX2
+  if (__builtin_cpu_supports("avx2"))
+    Forms.push_back({"avx2", simd::detail::andManyIntoAVX2});
+#endif
   constexpr size_t W = 64; // 4096-bit operands: the XtFree row scale.
   std::vector<uint64_t> A(W), B(W), Dst(W);
   RNG Rand(7);
@@ -317,34 +323,15 @@ void kernelThroughputProbe(cable::bench::BenchReport &Report, simd::Level L,
   }
   const uint64_t *Rows[8] = {A.data(), B.data(), A.data(), B.data(),
                              A.data(), B.data(), A.data(), B.data()};
-  for (int S = 0; S < Samples; ++S) {
-    Report.timeSample("kernel-and" + Suffix, [&] {
-      Dst = A;
-      for (int I = 0; I < Reps; ++I) {
-        O.AndInto(Dst.data(), B.data(), W);
-        benchmark::DoNotOptimize(Dst.data());
-      }
-    });
-    Report.timeSample("kernel-subset" + Suffix, [&] {
-      bool R = false;
-      for (int I = 0; I < Reps; ++I)
-        R ^= O.IsSubsetOf(A.data(), B.data(), W, ~uint64_t(0));
-      benchmark::DoNotOptimize(R);
-    });
-    Report.timeSample("kernel-popcount" + Suffix, [&] {
-      size_t N = 0;
-      for (int I = 0; I < Reps; ++I)
-        N += O.Popcount(A.data(), W, ~uint64_t(0));
-      benchmark::DoNotOptimize(N);
-    });
-    Report.timeSample("kernel-andmany" + Suffix, [&] {
-      Dst = A;
-      for (int I = 0; I < Reps; ++I) {
-        O.AndManyInto(Dst.data(), Rows, 8, W);
-        benchmark::DoNotOptimize(Dst.data());
-      }
-    });
-  }
+  for (int S = 0; S < Samples; ++S)
+    for (const auto &[Name, AndMany] : Forms)
+      Report.timeSample("kernel-andmany-" + Name, [&] {
+        Dst = A;
+        for (int I = 0; I < Reps; ++I) {
+          AndMany(Dst.data(), Rows, 8, W);
+          benchmark::DoNotOptimize(Dst.data());
+        }
+      });
 }
 
 } // namespace
@@ -413,23 +400,14 @@ int main(int Argc, char **Argv) {
     coverSpeedupProbe(Report, 2048, Samples);
   }
 
-  // Kernel + closure throughput probes for the kernel regression guard
-  // and the SIMD acceptance numbers. Sections exist in quick mode too —
-  // smaller, but the guard's one-sided comparisons still hold.
+  // Fused-AND and closure throughput probes for the kernel regression
+  // guard. Sections exist in quick mode too — smaller, but the guard's
+  // one-sided comparisons still hold.
   {
     bool Quick = cable::bench::BenchReport::quick();
     int Samples = Quick ? 5 : 11;
     int Reps = Quick ? 2000 : 20000;
-    std::vector<simd::Level> Levels = {simd::Level::Scalar,
-                                       simd::Level::Unrolled};
-    if (simd::maxSupportedLevel() == simd::Level::Vector)
-      Levels.push_back(simd::Level::Vector);
-    for (simd::Level L : Levels)
-      kernelThroughputProbe(Report, L, Samples, Reps);
-    Report.counter("kernel_active_level",
-                   static_cast<double>(simd::activeLevel()));
-    Report.counter("kernel_max_level",
-                   static_cast<double>(simd::maxSupportedLevel()));
+    andManyThroughputProbe(Report, Samples, Reps);
 
     int Closures = Quick ? 4000 : 40000;
     closureThroughputProbe(Report, "contranominal24", contranominal(24),

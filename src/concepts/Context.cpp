@@ -320,7 +320,7 @@ void Context::closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,
 std::string Context::contentHash() const {
   // FNV-1a 64 over a canonical little-endian byte stream. Deliberately a
   // plain scalar loop: the digest keys the artifact store, so it must not
-  // depend on the simd dispatch level.
+  // depend on which kernels the CPU runs.
   uint64_t H = 1469598103934665603ULL;
   auto Mix = [&H](uint64_t W) {
     for (int B = 0; B < 8; ++B) {

@@ -138,8 +138,7 @@ public:
   /// of (numObjects, numAttributes, object-major incidence words in
   /// little-endian byte order). This is the content-addressing key of the
   /// lattice artifact store, so it is computed with a plain scalar loop —
-  /// never a SIMD kernel — and is byte-identical regardless of the
-  /// CABLE_KERNEL dispatch level.
+  /// never a SIMD kernel — and is byte-identical on every CPU.
   /// Arena tail bits past numAttributes() are always zero (only relate()
   /// writes them), so the digest is a pure function of the relation.
   std::string contentHash() const;

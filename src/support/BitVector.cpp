@@ -34,7 +34,7 @@ void BitVector::setAll() {
 size_t BitVector::count() const {
   if (Words.size() == 1)
     return static_cast<size_t>(std::popcount(Words[0] & tailMask()));
-  return simd::ops().Popcount(Words.data(), Words.size(), tailMask());
+  return simd::popcount(Words.data(), Words.size(), tailMask());
 }
 
 bool BitVector::none() const {
@@ -42,8 +42,8 @@ bool BitVector::none() const {
   // dirty tail can never make an empty set look populated.
   if (Words.size() == 1)
     return (Words[0] & tailMask()) == 0;
-  return !simd::ops().Intersects(Words.data(), Words.data(), Words.size(),
-                                 tailMask());
+  return !simd::intersects(Words.data(), Words.data(), Words.size(),
+                           tailMask());
 }
 
 BitVector &BitVector::operator&=(const BitVector &RHS) {
@@ -51,7 +51,7 @@ BitVector &BitVector::operator&=(const BitVector &RHS) {
   if (Words.size() == 1)
     Words[0] &= RHS.Words[0];
   else
-    simd::ops().AndInto(Words.data(), RHS.Words.data(), Words.size());
+    simd::andInto(Words.data(), RHS.Words.data(), Words.size());
   clearUnusedBits();
   assert(tailIsClean());
   return *this;
@@ -62,7 +62,7 @@ BitVector &BitVector::operator|=(const BitVector &RHS) {
   if (Words.size() == 1)
     Words[0] |= RHS.Words[0];
   else
-    simd::ops().OrInto(Words.data(), RHS.Words.data(), Words.size());
+    simd::orInto(Words.data(), RHS.Words.data(), Words.size());
   clearUnusedBits();
   assert(tailIsClean());
   return *this;
@@ -73,7 +73,7 @@ BitVector &BitVector::operator^=(const BitVector &RHS) {
   if (Words.size() == 1)
     Words[0] ^= RHS.Words[0];
   else
-    simd::ops().XorInto(Words.data(), RHS.Words.data(), Words.size());
+    simd::xorInto(Words.data(), RHS.Words.data(), Words.size());
   clearUnusedBits();
   assert(tailIsClean());
   return *this;
@@ -84,7 +84,7 @@ BitVector &BitVector::andNot(const BitVector &RHS) {
   if (Words.size() == 1)
     Words[0] &= ~RHS.Words[0];
   else
-    simd::ops().AndNotInto(Words.data(), RHS.Words.data(), Words.size());
+    simd::andNotInto(Words.data(), RHS.Words.data(), Words.size());
   clearUnusedBits();
   assert(tailIsClean());
   return *this;
@@ -100,16 +100,16 @@ bool BitVector::isSubsetOf(const BitVector &RHS) const {
   assert(NumBits == RHS.NumBits && "universe size mismatch");
   if (Words.size() == 1)
     return ((Words[0] & ~RHS.Words[0]) & tailMask()) == 0;
-  return simd::ops().IsSubsetOf(Words.data(), RHS.Words.data(), Words.size(),
-                                tailMask());
+  return simd::isSubsetOf(Words.data(), RHS.Words.data(), Words.size(),
+                          tailMask());
 }
 
 bool BitVector::intersects(const BitVector &RHS) const {
   assert(NumBits == RHS.NumBits && "universe size mismatch");
   if (Words.size() == 1)
     return ((Words[0] & RHS.Words[0]) & tailMask()) != 0;
-  return simd::ops().Intersects(Words.data(), RHS.Words.data(), Words.size(),
-                                tailMask());
+  return simd::intersects(Words.data(), RHS.Words.data(), Words.size(),
+                          tailMask());
 }
 
 size_t BitVector::findFirst() const {

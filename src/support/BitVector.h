@@ -11,10 +11,10 @@
 /// over set bits. Concept extents and intents are BitVectors, so these
 /// operations dominate lattice construction time.
 ///
-/// The word-level work is delegated to the runtime-dispatched kernels in
-/// support/simd/Kernels.h (scalar / unrolled / AVX2 / NEON), with a
-/// single-word fast path inline here because most intents in the paper's
-/// workloads fit one word. Two invariants the kernels rely on:
+/// The word-level work is delegated to the portable kernels in
+/// support/simd/Kernels.h, with a single-word fast path inline here
+/// because most intents in the paper's workloads fit one word. Two
+/// invariants the kernels rely on:
 ///
 ///  - Tail invariant: bits at positions >= size() in the last word are
 ///    always zero after every mutating operation (each one re-masks the

@@ -1,4 +1,4 @@
-//===- support/simd/Kernels.cpp - Vectorized bit-set kernels --------------===//
+//===- support/simd/Kernels.cpp - Bit-set word kernels --------------------===//
 //
 // Part of the Cable reproduction of "Debugging Temporal Specifications with
 // Concept Analysis" (PLDI 2003). MIT license.
@@ -9,172 +9,86 @@
 
 #include "support/Metrics.h"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
-#ifdef CABLE_KERNELS_HAVE_NEON
-#include <arm_neon.h>
+#ifdef CABLE_KERNELS_HAVE_AVX2
+#include <immintrin.h>
 #endif
 
 using namespace cable;
 using namespace cable::simd;
 
 //===----------------------------------------------------------------------===//
-// Scalar level — the reference every other level is tested against.
+// Portable kernels — four words per iteration.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-void scalarAndInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    Dst[I] &= Src[I];
-}
-
-void scalarOrInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    Dst[I] |= Src[I];
-}
-
-void scalarXorInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    Dst[I] ^= Src[I];
-}
-
-void scalarAndNotInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    Dst[I] &= ~Src[I];
-}
-
-bool scalarIsSubsetOf(const uint64_t *A, const uint64_t *B, size_t N,
-                      uint64_t TailMask) {
-  if (N == 0)
-    return true;
-  for (size_t I = 0; I + 1 < N; ++I)
-    if ((A[I] & ~B[I]) != 0)
-      return false;
-  return ((A[N - 1] & ~B[N - 1]) & TailMask) == 0;
-}
-
-bool scalarIntersects(const uint64_t *A, const uint64_t *B, size_t N,
-                      uint64_t TailMask) {
-  if (N == 0)
-    return false;
-  for (size_t I = 0; I + 1 < N; ++I)
-    if ((A[I] & B[I]) != 0)
-      return true;
-  return ((A[N - 1] & B[N - 1]) & TailMask) != 0;
-}
-
-size_t scalarPopcount(const uint64_t *A, size_t N, uint64_t TailMask) {
-  if (N == 0)
-    return 0;
-  size_t Count = 0;
-  for (size_t I = 0; I + 1 < N; ++I)
-    Count += static_cast<size_t>(std::popcount(A[I]));
-  return Count + static_cast<size_t>(std::popcount(A[N - 1] & TailMask));
-}
-
-void scalarAndManyInto(uint64_t *Dst, const uint64_t *const *Srcs, size_t K,
-                       size_t N) {
-  for (size_t I = 0; I < N; ++I) {
-    uint64_t W = Dst[I];
-    for (size_t S = 0; S < K; ++S)
-      W &= Srcs[S][I];
-    Dst[I] = W;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Unrolled level — four words per iteration.
-//===----------------------------------------------------------------------===//
-
-void unrolledAndInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+/// Dst[i] = Op(Dst[i], Src[i]) for all i.
+template <typename WordOp>
+void zipInto(uint64_t *Dst, const uint64_t *Src, size_t N, WordOp Op) {
   size_t I = 0;
   for (; I + 4 <= N; I += 4) {
-    Dst[I + 0] &= Src[I + 0];
-    Dst[I + 1] &= Src[I + 1];
-    Dst[I + 2] &= Src[I + 2];
-    Dst[I + 3] &= Src[I + 3];
+    Dst[I + 0] = Op(Dst[I + 0], Src[I + 0]);
+    Dst[I + 1] = Op(Dst[I + 1], Src[I + 1]);
+    Dst[I + 2] = Op(Dst[I + 2], Src[I + 2]);
+    Dst[I + 3] = Op(Dst[I + 3], Src[I + 3]);
   }
   for (; I < N; ++I)
-    Dst[I] &= Src[I];
+    Dst[I] = Op(Dst[I], Src[I]);
 }
 
-void unrolledOrInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    Dst[I + 0] |= Src[I + 0];
-    Dst[I + 1] |= Src[I + 1];
-    Dst[I + 2] |= Src[I + 2];
-    Dst[I + 3] |= Src[I + 3];
-  }
-  for (; I < N; ++I)
-    Dst[I] |= Src[I];
-}
-
-void unrolledXorInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    Dst[I + 0] ^= Src[I + 0];
-    Dst[I + 1] ^= Src[I + 1];
-    Dst[I + 2] ^= Src[I + 2];
-    Dst[I + 3] ^= Src[I + 3];
-  }
-  for (; I < N; ++I)
-    Dst[I] ^= Src[I];
-}
-
-void unrolledAndNotInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    Dst[I + 0] &= ~Src[I + 0];
-    Dst[I + 1] &= ~Src[I + 1];
-    Dst[I + 2] &= ~Src[I + 2];
-    Dst[I + 3] &= ~Src[I + 3];
-  }
-  for (; I < N; ++I)
-    Dst[I] &= ~Src[I];
-}
-
-bool unrolledIsSubsetOf(const uint64_t *A, const uint64_t *B, size_t N,
-                        uint64_t TailMask) {
-  if (N == 0)
-    return true;
-  size_t Full = N - 1;
-  size_t I = 0;
-  for (; I + 4 <= Full; I += 4) {
-    uint64_t Acc = (A[I + 0] & ~B[I + 0]) | (A[I + 1] & ~B[I + 1]) |
-                   (A[I + 2] & ~B[I + 2]) | (A[I + 3] & ~B[I + 3]);
-    if (Acc != 0)
-      return false;
-  }
-  for (; I < Full; ++I)
-    if ((A[I] & ~B[I]) != 0)
-      return false;
-  return ((A[Full] & ~B[Full]) & TailMask) == 0;
-}
-
-bool unrolledIntersects(const uint64_t *A, const uint64_t *B, size_t N,
-                        uint64_t TailMask) {
+/// True iff Op(A[i], B[i]) != 0 for some i, with TailMask applied to the
+/// final word.
+template <typename WordOp>
+bool anyWord(const uint64_t *A, const uint64_t *B, size_t N,
+             uint64_t TailMask, WordOp Op) {
   if (N == 0)
     return false;
   size_t Full = N - 1;
   size_t I = 0;
-  for (; I + 4 <= Full; I += 4) {
-    uint64_t Acc = (A[I + 0] & B[I + 0]) | (A[I + 1] & B[I + 1]) |
-                   (A[I + 2] & B[I + 2]) | (A[I + 3] & B[I + 3]);
-    if (Acc != 0)
+  for (; I + 4 <= Full; I += 4)
+    if ((Op(A[I + 0], B[I + 0]) | Op(A[I + 1], B[I + 1]) |
+         Op(A[I + 2], B[I + 2]) | Op(A[I + 3], B[I + 3])) != 0)
       return true;
-  }
   for (; I < Full; ++I)
-    if ((A[I] & B[I]) != 0)
+    if (Op(A[I], B[I]) != 0)
       return true;
-  return ((A[Full] & B[Full]) & TailMask) != 0;
+  return (Op(A[Full], B[Full]) & TailMask) != 0;
 }
 
-size_t unrolledPopcount(const uint64_t *A, size_t N, uint64_t TailMask) {
+constexpr auto WordAnd = [](uint64_t X, uint64_t Y) { return X & Y; };
+constexpr auto WordAndNot = [](uint64_t X, uint64_t Y) { return X & ~Y; };
+
+} // namespace
+
+void cable::simd::andInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+  zipInto(Dst, Src, N, WordAnd);
+}
+
+void cable::simd::orInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+  zipInto(Dst, Src, N, [](uint64_t X, uint64_t Y) { return X | Y; });
+}
+
+void cable::simd::xorInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+  zipInto(Dst, Src, N, [](uint64_t X, uint64_t Y) { return X ^ Y; });
+}
+
+void cable::simd::andNotInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+  zipInto(Dst, Src, N, WordAndNot);
+}
+
+bool cable::simd::isSubsetOf(const uint64_t *A, const uint64_t *B, size_t N,
+                             uint64_t TailMask) {
+  return !anyWord(A, B, N, TailMask, WordAndNot);
+}
+
+bool cable::simd::intersects(const uint64_t *A, const uint64_t *B, size_t N,
+                             uint64_t TailMask) {
+  return anyWord(A, B, N, TailMask, WordAnd);
+}
+
+size_t cable::simd::popcount(const uint64_t *A, size_t N, uint64_t TailMask) {
   if (N == 0)
     return 0;
   size_t Full = N - 1;
@@ -192,8 +106,8 @@ size_t unrolledPopcount(const uint64_t *A, size_t N, uint64_t TailMask) {
          static_cast<size_t>(std::popcount(A[Full] & TailMask));
 }
 
-void unrolledAndManyInto(uint64_t *Dst, const uint64_t *const *Srcs, size_t K,
-                         size_t N) {
+void cable::simd::andManyInto(uint64_t *Dst, const uint64_t *const *Srcs,
+                              size_t K, size_t N) {
   size_t I = 0;
   for (; I + 4 <= N; I += 4) {
     uint64_t W0 = Dst[I + 0], W1 = Dst[I + 1];
@@ -218,69 +132,52 @@ void unrolledAndManyInto(uint64_t *Dst, const uint64_t *const *Srcs, size_t K,
   }
 }
 
-#ifdef CABLE_KERNELS_HAVE_NEON
+#ifdef CABLE_KERNELS_HAVE_AVX2
 
 //===----------------------------------------------------------------------===//
-// NEON level (aarch64) — 128-bit lanes, two per iteration.
+// AVX2 fused AND — the one kernel whose vector form pays end to end (tau
+// over ~16-word object columns). Entered only after the CPUID check in
+// andManyKernel(). Loads and stores are unaligned: BitVector words live in
+// std::vector storage with no alignment promise.
 //===----------------------------------------------------------------------===//
 
-void neonAndInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    vst1q_u64(Dst + I, vandq_u64(vld1q_u64(Dst + I), vld1q_u64(Src + I)));
-    vst1q_u64(Dst + I + 2,
-              vandq_u64(vld1q_u64(Dst + I + 2), vld1q_u64(Src + I + 2)));
-  }
-  for (; I < N; ++I)
-    Dst[I] &= Src[I];
+static __attribute__((target("avx2"))) __m256i loadu(const uint64_t *P) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(P));
 }
 
-void neonOrInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    vst1q_u64(Dst + I, vorrq_u64(vld1q_u64(Dst + I), vld1q_u64(Src + I)));
-    vst1q_u64(Dst + I + 2,
-              vorrq_u64(vld1q_u64(Dst + I + 2), vld1q_u64(Src + I + 2)));
-  }
-  for (; I < N; ++I)
-    Dst[I] |= Src[I];
+static __attribute__((target("avx2"))) void storeu(uint64_t *P, __m256i V) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i *>(P), V);
 }
 
-void neonXorInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
+__attribute__((target("avx2"))) void
+cable::simd::detail::andManyIntoAVX2(uint64_t *Dst,
+                                     const uint64_t *const *Srcs, size_t K,
+                                     size_t N) {
   size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    vst1q_u64(Dst + I, veorq_u64(vld1q_u64(Dst + I), vld1q_u64(Src + I)));
-    vst1q_u64(Dst + I + 2,
-              veorq_u64(vld1q_u64(Dst + I + 2), vld1q_u64(Src + I + 2)));
-  }
-  for (; I < N; ++I)
-    Dst[I] ^= Src[I];
-}
-
-void neonAndNotInto(uint64_t *Dst, const uint64_t *Src, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    vst1q_u64(Dst + I, vbicq_u64(vld1q_u64(Dst + I), vld1q_u64(Src + I)));
-    vst1q_u64(Dst + I + 2,
-              vbicq_u64(vld1q_u64(Dst + I + 2), vld1q_u64(Src + I + 2)));
-  }
-  for (; I < N; ++I)
-    Dst[I] &= ~Src[I];
-}
-
-void neonAndManyInto(uint64_t *Dst, const uint64_t *const *Srcs, size_t K,
-                     size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    uint64x2_t W0 = vld1q_u64(Dst + I);
-    uint64x2_t W1 = vld1q_u64(Dst + I + 2);
+  // 16-word (128-byte) blocks: four ymm accumulators stay resident while
+  // every selected row streams through.
+  for (; I + 16 <= N; I += 16) {
+    __m256i W0 = loadu(Dst + I + 0);
+    __m256i W1 = loadu(Dst + I + 4);
+    __m256i W2 = loadu(Dst + I + 8);
+    __m256i W3 = loadu(Dst + I + 12);
     for (size_t S = 0; S < K; ++S) {
       const uint64_t *Row = Srcs[S] + I;
-      W0 = vandq_u64(W0, vld1q_u64(Row));
-      W1 = vandq_u64(W1, vld1q_u64(Row + 2));
+      W0 = _mm256_and_si256(W0, loadu(Row + 0));
+      W1 = _mm256_and_si256(W1, loadu(Row + 4));
+      W2 = _mm256_and_si256(W2, loadu(Row + 8));
+      W3 = _mm256_and_si256(W3, loadu(Row + 12));
     }
-    vst1q_u64(Dst + I, W0);
-    vst1q_u64(Dst + I + 2, W1);
+    storeu(Dst + I + 0, W0);
+    storeu(Dst + I + 4, W1);
+    storeu(Dst + I + 8, W2);
+    storeu(Dst + I + 12, W3);
+  }
+  for (; I + 4 <= N; I += 4) {
+    __m256i W = loadu(Dst + I);
+    for (size_t S = 0; S < K; ++S)
+      W = _mm256_and_si256(W, loadu(Srcs[S] + I));
+    storeu(Dst + I, W);
   }
   for (; I < N; ++I) {
     uint64_t W = Dst[I];
@@ -290,165 +187,36 @@ void neonAndManyInto(uint64_t *Dst, const uint64_t *const *Srcs, size_t K,
   }
 }
 
-#endif // CABLE_KERNELS_HAVE_NEON
+#endif // CABLE_KERNELS_HAVE_AVX2
 
-} // namespace
-
-const KernelOps &detail::scalarOps() {
-  static const KernelOps Ops = {
-      "scalar",         scalarAndInto,   scalarOrInto,
-      scalarXorInto,    scalarAndNotInto, scalarIsSubsetOf,
-      scalarIntersects, scalarPopcount,  scalarAndManyInto,
-  };
-  return Ops;
-}
-
-const KernelOps &detail::unrolledOps() {
-  static const KernelOps Ops = {
-      "unrolled",         unrolledAndInto,   unrolledOrInto,
-      unrolledXorInto,    unrolledAndNotInto, unrolledIsSubsetOf,
-      unrolledIntersects, unrolledPopcount,  unrolledAndManyInto,
-  };
-  return Ops;
-}
-
-#ifdef CABLE_KERNELS_HAVE_NEON
-const KernelOps &detail::neonOps() {
-  // Subset / intersects / popcount reuse the unrolled forms: on aarch64
-  // the win is in the streaming AND family, and the scalar CNT paths are
-  // already one instruction per word.
-  static const KernelOps Ops = {
-      "neon",             neonAndInto,      neonOrInto,
-      neonXorInto,        neonAndNotInto,   unrolledIsSubsetOf,
-      unrolledIntersects, unrolledPopcount, neonAndManyInto,
-  };
-  return Ops;
-}
-#endif
-
-//===----------------------------------------------------------------------===//
-// Dispatch.
-//===----------------------------------------------------------------------===//
-
+// The fused closure walk and the fused-AND form it runs.
 namespace {
 
-Metrics::Gauge &DispatchLevel = Metrics::gauge("kernels.dispatch-level");
 Metrics::Counter &FusedAndCalls = Metrics::counter("kernels.fused-and-calls");
 Metrics::Counter &FusedAndWords = Metrics::counter("kernels.fused-and-words");
 
-const KernelOps *tableFor(Level L) {
-  switch (L) {
-  case Level::Scalar:
-    return &detail::scalarOps();
-  case Level::Unrolled:
-    return &detail::unrolledOps();
-  case Level::Vector:
-#if defined(CABLE_KERNELS_HAVE_AVX2)
-    return &detail::avx2Ops();
-#elif defined(CABLE_KERNELS_HAVE_NEON)
-    return &detail::neonOps();
+using AndManyFn = decltype(&andManyInto);
+
+/// The AVX2 fused AND when the CPU has it, else the portable one; decided
+/// once per process.
+AndManyFn andManyKernel() {
+#ifdef CABLE_KERNELS_HAVE_AVX2
+  static const AndManyFn Fn =
+      __builtin_cpu_supports("avx2") ? detail::andManyIntoAVX2 : andManyInto;
+  return Fn;
 #else
-    return &detail::unrolledOps();
+  return andManyInto;
 #endif
-  }
-  return &detail::scalarOps();
-}
-
-Level hardwareMaxLevel() {
-#if defined(CABLE_KERNELS_HAVE_AVX2)
-  return __builtin_cpu_supports("avx2") ? Level::Vector : Level::Unrolled;
-#elif defined(CABLE_KERNELS_HAVE_NEON)
-  return Level::Vector; // NEON is baseline on aarch64.
-#else
-  return Level::Unrolled;
-#endif
-}
-
-Level clampToSupported(Level L) {
-  return static_cast<int>(L) <= static_cast<int>(hardwareMaxLevel())
-             ? L
-             : hardwareMaxLevel();
-}
-
-/// Resolves the startup level: CABLE_KERNEL if set and recognized
-/// (clamped to what the build + CPU supports), else the best available.
-Level resolveStartupLevel() {
-  if (const char *Env = std::getenv("CABLE_KERNEL"))
-    if (std::optional<Level> L = parseLevel(Env))
-      return clampToSupported(*L);
-  return hardwareMaxLevel();
-}
-
-/// The active table. Lazily initialized with a CAS so concurrent first
-/// uses (threads racing into their first closure) are safe; the
-/// steady-state cost is one acquire load.
-std::atomic<const KernelOps *> ActiveOps{nullptr};
-std::atomic<int> ActiveLevelValue{-1};
-
-const KernelOps *initialize() {
-  // Concurrent first uses all resolve the same level (env + CPUID are
-  // stable for the process lifetime), so racing plain atomic stores of
-  // identical values is benign. Level is published before the table so a
-  // reader that sees the table never sees a stale level.
-  Level L = resolveStartupLevel();
-  ActiveLevelValue.store(static_cast<int>(L), std::memory_order_release);
-  DispatchLevel.set(static_cast<int64_t>(L));
-  const KernelOps *Table = tableFor(L);
-  ActiveOps.store(Table, std::memory_order_release);
-  return Table;
 }
 
 } // namespace
-
-const KernelOps &cable::simd::ops() {
-  const KernelOps *Table = ActiveOps.load(std::memory_order_acquire);
-  if (Table == nullptr)
-    Table = initialize();
-  return *Table;
-}
-
-Level cable::simd::activeLevel() {
-  ops(); // Ensure resolved.
-  return static_cast<Level>(ActiveLevelValue.load(std::memory_order_acquire));
-}
-
-Level cable::simd::maxSupportedLevel() { return hardwareMaxLevel(); }
-
-const char *cable::simd::levelName(Level L) { return tableFor(L)->Name; }
-
-std::optional<Level> cable::simd::parseLevel(std::string_view Name) {
-  if (Name == "scalar")
-    return Level::Scalar;
-  if (Name == "unrolled")
-    return Level::Unrolled;
-  if (Name == "avx2" || Name == "neon" || Name == "vector")
-    return Level::Vector;
-  return std::nullopt;
-}
-
-void cable::simd::forceLevel(Level L) {
-  // Same publish order as initialize(): level before table, so a reader
-  // that sees the new table never sees a stale level.
-  Level Clamped = clampToSupported(L);
-  ActiveLevelValue.store(static_cast<int>(Clamped), std::memory_order_release);
-  DispatchLevel.set(static_cast<int64_t>(Clamped));
-  ActiveOps.store(tableFor(Clamped), std::memory_order_release);
-}
-
-void cable::simd::resetLevel() { forceLevel(resolveStartupLevel()); }
-
-//===----------------------------------------------------------------------===//
-// Fused closure driver.
-//===----------------------------------------------------------------------===//
 
 void cable::simd::andSelectInto(uint64_t *Dst, const uint64_t *Arena,
                                 size_t Stride, const uint64_t *Sel,
                                 size_t SelWords, size_t NumWords) {
   // Narrow accumulators (≤ 4 words — contexts up to 256 attributes or
-  // objects) stay entirely in registers: fold each selected row directly,
-  // with no batching, no pointer gathering, and no indirect calls. This
-  // is the regime of the paper's workloads and of the closure-throughput
-  // targets, where the batching machinery would cost more than the ANDs.
+  // objects, the paper's regime) stay in registers: fold each selected row
+  // directly, with no batching and no indirect call.
   if (NumWords <= 4) {
     uint64_t Acc[4] = {0, 0, 0, 0};
     for (size_t I = 0; I < NumWords; ++I)
@@ -473,14 +241,14 @@ void cable::simd::andSelectInto(uint64_t *Dst, const uint64_t *Arena,
     return;
   }
 
-  // Gather selected rows in batches so AndManyInto touches the Dst block
+  // Gather selected rows in batches so the fused AND touches the Dst block
   // once per batch. 8 operands keeps the working set (8 rows + Dst) well
   // inside L1 for block-sized chunks and the pointer array in registers.
   constexpr size_t BatchMax = 8;
   const uint64_t *Batch[BatchMax];
   size_t K = 0;
   uint64_t TotalRows = 0;
-  const KernelOps &O = ops();
+  const AndManyFn AndMany = andManyKernel();
   for (size_t W = 0; W < SelWords; ++W) {
     uint64_t Bits = Sel[W];
     while (Bits != 0) {
@@ -489,13 +257,13 @@ void cable::simd::andSelectInto(uint64_t *Dst, const uint64_t *Arena,
       Batch[K++] = Arena + P * Stride;
       ++TotalRows;
       if (K == BatchMax) {
-        O.AndManyInto(Dst, Batch, K, NumWords);
+        AndMany(Dst, Batch, K, NumWords);
         K = 0;
       }
     }
   }
   if (K != 0)
-    O.AndManyInto(Dst, Batch, K, NumWords);
+    AndMany(Dst, Batch, K, NumWords);
   FusedAndCalls.add();
   FusedAndWords.add(TotalRows * NumWords);
 }

@@ -1,4 +1,4 @@
-//===- support/simd/Kernels.h - Vectorized bit-set kernels ------*- C++ -*-===//
+//===- support/simd/Kernels.h - Bit-set word kernels ------------*- C++ -*-===//
 //
 // Part of the Cable reproduction of "Debugging Temporal Specifications with
 // Concept Analysis" (PLDI 2003). MIT license.
@@ -6,37 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime-dispatched word kernels for the set-algebra inner loops of
-/// concept analysis. Every lattice builder bottoms out in BitVector
-/// intersection / subset / popcount over the traces×transitions context;
-/// these kernels are the single place that code is written, at three
-/// levels:
+/// Word kernels for the set-algebra inner loops of concept analysis. Every
+/// lattice builder bottoms out in BitVector intersection / subset /
+/// popcount over the traces×transitions context, and BitVector calls these
+/// portable kernels (unrolled four words per iteration) directly.
 ///
-///  - Scalar:   one word at a time — the reference implementation every
-///              other level is differentially tested against.
-///  - Unrolled: four words per iteration, enough ILP to saturate the
-///              load ports on any 64-bit machine.
-///  - Vector:   AVX2 on x86-64 (256-bit lanes, compiled in a separate
-///              -mavx2 TU and only selected when the CPU reports AVX2),
-///              NEON on aarch64. Falls back to Unrolled when neither is
-///              compiled in or the CPU lacks the ISA.
+/// The one kernel with a vector form is the fused multi-operand AND behind
+/// andSelectInto: on x86-64 CPUs that report AVX2 it runs in 256-bit lanes,
+/// chosen once per process from CPUID. Both forms compute identical words,
+/// so lattices never depend on the CPU.
 ///
-/// Dispatch is resolved once per process from CPUID plus the env override
-/// `CABLE_KERNEL=scalar|unrolled|avx2|neon` (an unsupported request
-/// clamps down to the best available level); tests pin a level with
-/// ForcedLevelGuard to run the differential battery at every level.
+/// Kernels neither allocate nor know about universe sizes; all counts are
+/// in 64-bit words. Read kernels apply a TailMask to the final word so a
+/// dirty tail (bits past size()) can never leak into a verdict; mutating
+/// kernels rely on BitVector re-clearing the tail after every operation.
 ///
-/// All kernels are pure word-array functions: they neither allocate nor
-/// know about universe sizes. Read kernels take a TailMask applied to the
-/// final word so a dirty tail (bits past size()) can never leak into a
-/// popcount or subset verdict; mutating kernels rely on BitVector
-/// re-clearing the tail after every operation.
-///
-/// The fused closure primitive is andSelectInto: intersect, into an
-/// accumulator, every row of a packed row-major arena whose index is set
-/// in a selector bit set. Context stores both orientations of the
-/// incidence matrix as such arenas, so sigma and tau are each one
-/// andSelectInto walking contiguous cache lines.
+/// andSelectInto intersects into an accumulator every row of a packed
+/// row-major arena whose index is set in a selector. Context stores both
+/// orientations of the incidence matrix as such arenas, so sigma and tau
+/// are each one andSelectInto walking contiguous cache lines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,112 +33,54 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
-// AVX2 availability is a build-system decision (a separate -mavx2 TU), so
-// CABLE_KERNELS_HAVE_AVX2 is propagated PUBLIC from CMake. NEON is baseline
-// on aarch64, so its macro is derived here from compiler predicates and is
-// visible to every includer (the differential tests key their NEON arm on
-// it).
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#define CABLE_KERNELS_HAVE_NEON 1
+// The AVX2 fused AND is compiled by per-function target attribute, so the
+// rest of the binary keeps the baseline x86-64 ISA.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define CABLE_KERNELS_HAVE_AVX2 1
 #endif
 
 namespace cable::simd {
 
-/// Dispatch levels, ordered by preference. Vector means the best SIMD ISA
-/// this build knows for the host architecture (AVX2 on x86-64, NEON on
-/// aarch64); levelName() reports which.
-enum class Level : int { Scalar = 0, Unrolled = 1, Vector = 2 };
-
-/// One resolved implementation set. All word counts are in 64-bit words.
-struct KernelOps {
-  /// Human-readable level name ("scalar", "unrolled", "avx2", "neon").
-  const char *Name;
-
-  /// Dst[i] &= Src[i].
-  void (*AndInto)(uint64_t *Dst, const uint64_t *Src, size_t NumWords);
-  /// Dst[i] |= Src[i].
-  void (*OrInto)(uint64_t *Dst, const uint64_t *Src, size_t NumWords);
-  /// Dst[i] ^= Src[i].
-  void (*XorInto)(uint64_t *Dst, const uint64_t *Src, size_t NumWords);
-  /// Dst[i] &= ~Src[i].
-  void (*AndNotInto)(uint64_t *Dst, const uint64_t *Src, size_t NumWords);
-  /// True iff (A[i] & ~B[i]) == 0 for all i, with TailMask applied to the
-  /// final word of both operands.
-  bool (*IsSubsetOf)(const uint64_t *A, const uint64_t *B, size_t NumWords,
-                     uint64_t TailMask);
-  /// True iff (A[i] & B[i]) != 0 for some i, with TailMask applied to the
-  /// final word of both operands.
-  bool (*Intersects)(const uint64_t *A, const uint64_t *B, size_t NumWords,
-                     uint64_t TailMask);
-  /// Total set bits, with TailMask applied to the final word.
-  size_t (*Popcount)(const uint64_t *A, size_t NumWords, uint64_t TailMask);
-  /// Dst[i] &= Srcs[0][i] & ... & Srcs[K-1][i] — the fused multi-operand
-  /// intersection at the heart of closure; one pass over Dst regardless
-  /// of K, blocked so the accumulator stays in registers.
-  void (*AndManyInto)(uint64_t *Dst, const uint64_t *const *Srcs, size_t K,
-                      size_t NumWords);
-};
-
-/// The active kernel table (one relaxed atomic load after first use).
-const KernelOps &ops();
-
-/// The level ops() currently dispatches to.
-Level activeLevel();
-
-/// The best level this build + CPU supports.
-Level maxSupportedLevel();
-
-/// Level name as used by CABLE_KERNEL ("scalar", "unrolled", and for
-/// Vector whatever the host ISA is called).
-const char *levelName(Level L);
-
-/// Parses a CABLE_KERNEL value; accepts "scalar", "unrolled", "avx2",
-/// "neon", and "vector". Returns nullopt for anything else.
-std::optional<Level> parseLevel(std::string_view Name);
-
-/// Pins dispatch to \p L (clamped to maxSupportedLevel). Test hook — the
-/// differential suites run every level through this.
-void forceLevel(Level L);
-
-/// Restores CPUID/env-resolved dispatch after a forceLevel.
-void resetLevel();
-
-/// RAII forceLevel for tests: restores the previous level on scope exit.
-class ForcedLevelGuard {
-public:
-  explicit ForcedLevelGuard(Level L) : Saved(activeLevel()) { forceLevel(L); }
-  ~ForcedLevelGuard() { forceLevel(Saved); }
-  ForcedLevelGuard(const ForcedLevelGuard &) = delete;
-  ForcedLevelGuard &operator=(const ForcedLevelGuard &) = delete;
-
-private:
-  Level Saved;
-};
+/// Dst[i] &= Src[i].
+void andInto(uint64_t *Dst, const uint64_t *Src, size_t NumWords);
+/// Dst[i] |= Src[i].
+void orInto(uint64_t *Dst, const uint64_t *Src, size_t NumWords);
+/// Dst[i] ^= Src[i].
+void xorInto(uint64_t *Dst, const uint64_t *Src, size_t NumWords);
+/// Dst[i] &= ~Src[i].
+void andNotInto(uint64_t *Dst, const uint64_t *Src, size_t NumWords);
+/// True iff (A[i] & ~B[i]) == 0 for all i, with TailMask applied to the
+/// final word of both operands.
+bool isSubsetOf(const uint64_t *A, const uint64_t *B, size_t NumWords,
+                uint64_t TailMask);
+/// True iff (A[i] & B[i]) != 0 for some i, with TailMask applied to the
+/// final word of both operands.
+bool intersects(const uint64_t *A, const uint64_t *B, size_t NumWords,
+                uint64_t TailMask);
+/// Total set bits, with TailMask applied to the final word.
+size_t popcount(const uint64_t *A, size_t NumWords, uint64_t TailMask);
+/// Dst[i] &= Srcs[0][i] & ... & Srcs[K-1][i] in one pass over Dst, blocked
+/// so the accumulator stays in registers: the fused AND of closure.
+void andManyInto(uint64_t *Dst, const uint64_t *const *Srcs, size_t K,
+                 size_t NumWords);
 
 /// Fused closure walk: for every bit p set in the selector, intersect row
 /// p of the packed arena into Dst:
 ///
 ///   Dst[i] &= Arena[p * Stride + i]   for all selected p, i < NumWords
 ///
-/// The caller presets Dst (setAll for a derivation operator). Rows are
-/// gathered in batches and fed to the active AndManyInto so the Dst block
-/// is touched once per batch, not once per row. NumWords <= Stride.
+/// The caller presets Dst (setAll for a derivation operator). NumWords <=
+/// Stride.
 void andSelectInto(uint64_t *Dst, const uint64_t *Arena, size_t Stride,
                    const uint64_t *Sel, size_t SelWords, size_t NumWords);
 
 namespace detail {
-/// Per-level tables (exposed for the differential tests; scalarOps is the
-/// reference implementation).
-const KernelOps &scalarOps();
-const KernelOps &unrolledOps();
 #ifdef CABLE_KERNELS_HAVE_AVX2
-const KernelOps &avx2Ops();
-#endif
-#ifdef CABLE_KERNELS_HAVE_NEON
-const KernelOps &neonOps();
+/// andManyInto in 256-bit lanes. Only callable when the CPU reports AVX2
+/// (__builtin_cpu_supports("avx2")); exposed for the differential tests.
+void andManyIntoAVX2(uint64_t *Dst, const uint64_t *const *Srcs, size_t K,
+                     size_t NumWords);
 #endif
 } // namespace detail
 

@@ -7,9 +7,10 @@
 //
 // The trivial reference model the model-based suites check a Session
 // against (a map from object to label plus an explicit history of full
-// snapshots), the random session generator they run on, and the agreement
-// check. Shared by SessionModelTest (Session operations) and the command
-// interpreter fuzz test (command lines).
+// snapshots), the random session generators they run on (complete and
+// budget-truncated lattices), and the agreement check. Shared by
+// SessionModelTest (Session operations) and the command interpreter fuzz
+// test (command lines).
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,9 +46,8 @@ struct Model {
   }
 };
 
-/// 3-10 random traces over the events a..d, clustered with the unordered
-/// template.
-inline Session makeRandomSession(RNG &Rand) {
+/// 3-10 random traces over the events a..d.
+inline TraceSet makeRandomTraces(RNG &Rand) {
   TraceSet Traces;
   std::vector<std::string> Pool{"a", "b", "c", "d"};
   size_t N = 3 + Rand.nextIndex(8);
@@ -58,9 +58,31 @@ inline Session makeRandomSession(RNG &Rand) {
       T.append(Traces.table().internEvent(Pool[Rand.nextIndex(Pool.size())]));
     Traces.add(std::move(T));
   }
+  return Traces;
+}
+
+/// Random traces clustered with the unordered template.
+inline Session makeRandomSession(RNG &Rand) {
+  TraceSet Traces = makeRandomTraces(Rand);
   Automaton Ref =
       makeUnorderedFA(templateAlphabet(Traces.traces()), Traces.table());
   return Session(std::move(Traces), std::move(Ref));
+}
+
+/// As makeRandomSession, but built by Session::build under a concept cap
+/// of 2-4, drawing again until the cap truncates the lattice.
+inline Session makeTruncatedSession(RNG &Rand) {
+  for (;;) {
+    TraceSet Traces = makeRandomTraces(Rand);
+    Automaton Ref =
+        makeUnorderedFA(templateAlphabet(Traces.traces()), Traces.table());
+    SessionOptions Options;
+    Options.ResourceBudget.MaxConcepts = 2 + Rand.nextIndex(3);
+    StatusOr<Session> S =
+        Session::build(std::move(Traces), std::move(Ref), Options);
+    if (S.isOk() && S->truncated())
+      return std::move(*S);
+  }
 }
 
 inline void expectAgreement(const Session &S, const Model &M) {

@@ -8,9 +8,8 @@
 // Property suite for the blocked arena Context layout: on random and
 // degenerate contexts, the fused sigma/tau (packed row/column arenas +
 // andSelectInto) must agree bit-for-bit with the retained pre-arena
-// reference implementations, at every kernel dispatch level; and entire
-// lattices built by both builders must be identical between the new and
-// legacy derivation paths.
+// reference implementations; and entire lattices built by both builders
+// must be identical between the new and legacy derivation paths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +17,6 @@
 #include "concepts/NextClosureBuilder.h"
 
 #include "support/RNG.h"
-#include "support/simd/Kernels.h"
 
 #include <gtest/gtest.h>
 
@@ -88,20 +86,6 @@ void expectDerivationsMatchReference(const Context &Ctx, uint64_t Seed,
   }
 }
 
-/// Runs the reference-match battery at every kernel level this host can
-/// dispatch to.
-void expectDerivationsMatchAtEveryLevel(const Context &Ctx, uint64_t Seed,
-                                        const char *What) {
-  std::vector<simd::Level> Levels = {simd::Level::Scalar,
-                                     simd::Level::Unrolled};
-  if (simd::maxSupportedLevel() == simd::Level::Vector)
-    Levels.push_back(simd::Level::Vector);
-  for (simd::Level L : Levels) {
-    simd::ForcedLevelGuard Guard(L);
-    expectDerivationsMatchReference(Ctx, Seed, What);
-  }
-}
-
 /// Asserts two lattices are bit-for-bit identical (same ids, same sets,
 /// same adjacency order) — the strong form, as in the builder suite.
 void expectIdenticalLattices(const ConceptLattice &A, const ConceptLattice &B,
@@ -133,12 +117,12 @@ void expectBuildersIdenticalAcrossPaths(Context Ctx, const char *What) {
 
 } // namespace
 
-/// 150-seed sweep: fused derivations equal the reference at every level.
+/// 150-seed sweep: fused derivations equal the reference.
 class ContextLayoutTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ContextLayoutTest, DerivationsMatchReferenceAtEveryLevel) {
   Context Ctx = seededContext(GetParam());
-  expectDerivationsMatchAtEveryLevel(Ctx, GetParam() ^ 0xD15EA5E,
+  expectDerivationsMatchReference(Ctx, GetParam() ^ 0xD15EA5E,
                                      "seeded context");
 }
 
@@ -146,21 +130,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContextLayoutTest,
                          ::testing::Range<uint64_t>(0, 150));
 
 TEST(ContextLayoutDegenerateTest, EmptyContext) {
-  expectDerivationsMatchAtEveryLevel(Context(0, 0), 1, "0x0");
+  expectDerivationsMatchReference(Context(0, 0), 1, "0x0");
 }
 
 TEST(ContextLayoutDegenerateTest, ObjectsWithoutAttributes) {
-  expectDerivationsMatchAtEveryLevel(Context(7, 0), 2, "7x0");
+  expectDerivationsMatchReference(Context(7, 0), 2, "7x0");
 }
 
 TEST(ContextLayoutDegenerateTest, AttributesWithoutObjects) {
-  expectDerivationsMatchAtEveryLevel(Context(0, 9), 3, "0x9");
+  expectDerivationsMatchReference(Context(0, 9), 3, "0x9");
 }
 
 TEST(ContextLayoutDegenerateTest, Contranominal) {
   // 2^10 concepts; also crosses the one-word boundary at 10 bits? No —
   // the point is the densest off-diagonal shape the bench uses.
-  expectDerivationsMatchAtEveryLevel(contranominal(10), 4, "contranominal10");
+  expectDerivationsMatchReference(contranominal(10), 4, "contranominal10");
 }
 
 TEST(ContextLayoutDegenerateTest, WideContextCrossesWordBoundaries) {
@@ -172,7 +156,7 @@ TEST(ContextLayoutDegenerateTest, WideContextCrossesWordBoundaries) {
     for (size_t A = 0; A < 70; ++A)
       if (Rand.nextBool(0.3))
         Ctx.relate(O, A);
-  expectDerivationsMatchAtEveryLevel(Ctx, 5, "130x70");
+  expectDerivationsMatchReference(Ctx, 5, "130x70");
 }
 
 /// 60-seed sweep: whole lattices are identical old-path vs new-path for
@@ -193,22 +177,4 @@ TEST(ContextPathEquivalenceTest, DegenerateContexts) {
   expectBuildersIdenticalAcrossPaths(Context(5, 0), "5x0");
   expectBuildersIdenticalAcrossPaths(Context(0, 6), "0x6");
   expectBuildersIdenticalAcrossPaths(contranominal(8), "contranominal8");
-}
-
-TEST(ContextPathEquivalenceTest, LatticesIdenticalAcrossKernelLevels) {
-  // The same builds pinned to scalar and to the best level must agree —
-  // dispatch changes instruction selection, never results.
-  for (uint64_t Seed : {11ULL, 222ULL, 3333ULL}) {
-    Context Ctx = seededContext(Seed);
-    ConceptLattice Scalar = [&] {
-      simd::ForcedLevelGuard Guard(simd::Level::Scalar);
-      return NextClosureBuilder::buildLattice(Ctx);
-    }();
-    ConceptLattice Best = [&] {
-      simd::ForcedLevelGuard Guard(simd::maxSupportedLevel());
-      return NextClosureBuilder::buildLattice(Ctx);
-    }();
-    expectIdenticalLattices(Scalar, Best,
-                            "level sweep seed " + std::to_string(Seed));
-  }
 }

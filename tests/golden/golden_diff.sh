@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Golden lock for the paper-facing bench binaries that run sk-strings.
+# Golden lock for paper-facing binaries whose stdout is deterministic:
+# the tables, figures, ablations and examples the paper's results come
+# from (the sk-strings consumers, and the lattice, labeling-cost and audit
+# outputs).
 #
 # Usage: golden_diff.sh GOLDEN_DIR BIN...
 #

@@ -5,13 +5,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every kernel variant (scalar, unrolled, and whichever vector ISA this
-// build carries) is checked against an independent bit-at-a-time model:
-// exhaustively on all sizes 0..130 bits (covering every tail-word length
-// and the 1-word/2-word/3-word boundaries) over a fixed pattern alphabet,
-// then on 10k seeded-random pairs. Read kernels are additionally fed
-// deliberately dirty tail words to prove TailMask keeps garbage past
-// size() out of every verdict.
+// The portable kernels are checked against an independent bit-at-a-time
+// model: exhaustively on all sizes 0..130 bits (covering every tail-word
+// length and the 1-word/2-word/3-word boundaries) over a fixed pattern
+// alphabet, then on 10k seeded-random pairs. Read kernels are additionally
+// fed deliberately dirty tail words to prove TailMask keeps garbage past
+// size() out of every verdict. The fused AND is checked in both forms: the
+// portable one, and the AVX2 one when the CPU has AVX2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <random>
-#include <string>
 #include <vector>
 
 using namespace cable;
@@ -29,25 +28,20 @@ using namespace cable::simd;
 
 namespace {
 
-struct NamedTable {
+/// A fused-AND form under test.
+struct AndManyForm {
   const char *Label;
-  const KernelOps *Ops;
+  void (*Fn)(uint64_t *, const uint64_t *const *, size_t, size_t);
 };
 
-// Every kernel table compiled into this binary. The vector table is only
-// exercised when the host CPU can actually run it.
-std::vector<NamedTable> allTables() {
-  std::vector<NamedTable> T = {{"scalar", &detail::scalarOps()},
-                               {"unrolled", &detail::unrolledOps()}};
+// Every fused-AND form this CPU can run.
+std::vector<AndManyForm> andManyForms() {
+  std::vector<AndManyForm> F = {{"portable", andManyInto}};
 #ifdef CABLE_KERNELS_HAVE_AVX2
-  if (maxSupportedLevel() == Level::Vector)
-    T.push_back({"avx2", &detail::avx2Ops()});
+  if (__builtin_cpu_supports("avx2"))
+    F.push_back({"avx2", detail::andManyIntoAVX2});
 #endif
-#ifdef CABLE_KERNELS_HAVE_NEON
-  if (maxSupportedLevel() == Level::Vector)
-    T.push_back({"neon", &detail::neonOps()});
-#endif
-  return T;
+  return F;
 }
 
 size_t wordsFor(size_t NumBits) { return (NumBits + 63) / 64; }
@@ -108,19 +102,19 @@ Words refWordOp(WordOp Op, Words Dst, const Words &Src) {
   return Dst;
 }
 
-void runWordOp(const KernelOps &Ops, WordOp Op, Words &Dst, const Words &Src) {
+void runWordOp(WordOp Op, Words &Dst, const Words &Src) {
   switch (Op) {
   case WordOp::And:
-    Ops.AndInto(Dst.data(), Src.data(), Dst.size());
+    andInto(Dst.data(), Src.data(), Dst.size());
     break;
   case WordOp::Or:
-    Ops.OrInto(Dst.data(), Src.data(), Dst.size());
+    orInto(Dst.data(), Src.data(), Dst.size());
     break;
   case WordOp::Xor:
-    Ops.XorInto(Dst.data(), Src.data(), Dst.size());
+    xorInto(Dst.data(), Src.data(), Dst.size());
     break;
   case WordOp::AndNot:
-    Ops.AndNotInto(Dst.data(), Src.data(), Dst.size());
+    andNotInto(Dst.data(), Src.data(), Dst.size());
     break;
   }
 }
@@ -171,75 +165,85 @@ void cleanTail(Words &W, size_t NumBits) {
 } // namespace
 
 // Exhaustive sweep: every size 0..130 bits covers the empty buffer, every
-// tail length within a word, and the 4-way unroll boundary at 4 words plus
-// both off-by-one neighbors (128 and 130 bits).
+// tail length within a word, and the 1-, 2- and 3-word boundaries. The
+// seeded pairs below reach the 4-way unrolled loops.
 TEST(KernelsDifferentialTest, ExhaustiveSmallSizesAllPatternPairs) {
-  for (const NamedTable &T : allTables()) {
-    for (size_t Bits = 0; Bits <= 130; ++Bits) {
-      size_t N = wordsFor(Bits);
-      uint64_t Mask = tailMaskFor(Bits);
-      std::vector<Words> Pats = patternsFor(Bits);
-      for (const Words &A : Pats) {
-        EXPECT_EQ(T.Ops->Popcount(A.data(), N, Mask), refPopcount(A, Bits))
-            << T.Label << " popcount bits=" << Bits;
-        for (const Words &B : Pats) {
-          EXPECT_EQ(T.Ops->IsSubsetOf(A.data(), B.data(), N, Mask),
-                    refIsSubset(A, B, Bits))
-              << T.Label << " subset bits=" << Bits;
-          EXPECT_EQ(T.Ops->Intersects(A.data(), B.data(), N, Mask),
-                    refIntersects(A, B, Bits))
-              << T.Label << " intersects bits=" << Bits;
-          for (WordOp Op : AllWordOps) {
-            Words Dst = A;
-            runWordOp(*T.Ops, Op, Dst, B);
-            EXPECT_EQ(Dst, refWordOp(Op, A, B))
-                << T.Label << " wordop=" << static_cast<int>(Op)
-                << " bits=" << Bits;
-          }
+  for (size_t Bits = 0; Bits <= 130; ++Bits) {
+    size_t N = wordsFor(Bits);
+    uint64_t Mask = tailMaskFor(Bits);
+    std::vector<Words> Pats = patternsFor(Bits);
+    for (const Words &A : Pats) {
+      EXPECT_EQ(popcount(A.data(), N, Mask), refPopcount(A, Bits))
+          << "popcount bits=" << Bits;
+      for (const Words &B : Pats) {
+        EXPECT_EQ(isSubsetOf(A.data(), B.data(), N, Mask),
+                  refIsSubset(A, B, Bits))
+            << "subset bits=" << Bits;
+        EXPECT_EQ(intersects(A.data(), B.data(), N, Mask),
+                  refIntersects(A, B, Bits))
+            << "intersects bits=" << Bits;
+        for (WordOp Op : AllWordOps) {
+          Words Dst = A;
+          runWordOp(Op, Dst, B);
+          EXPECT_EQ(Dst, refWordOp(Op, A, B))
+              << "wordop=" << static_cast<int>(Op) << " bits=" << Bits;
         }
       }
     }
   }
 }
 
-// 10k seeded-random pairs per table, sizes spanning 0..~1100 bits so the
-// vector main loops run many full blocks plus every remainder length.
+// 10k seeded-random pairs, sizes spanning 0..~1100 bits so the unrolled
+// main loops run many full blocks plus every remainder length.
 TEST(KernelsDifferentialTest, SeededRandomPairs) {
-  for (const NamedTable &T : allTables()) {
-    std::mt19937_64 Rng(0xC0FFEE);
-    for (int Iter = 0; Iter < 10000; ++Iter) {
-      size_t Bits = Rng() % 1100;
-      size_t N = wordsFor(Bits);
-      uint64_t Mask = tailMaskFor(Bits);
-      Words A = randomWords(Rng, N);
-      Words B = randomWords(Rng, N);
-      // Half the pairs carry garbage past size(); read kernels must mask
-      // it out, so dirty tails cannot change any verdict.
-      bool Dirty = Rng() & 1;
-      if (!Dirty) {
-        cleanTail(A, Bits);
-        cleanTail(B, Bits);
-      }
-      EXPECT_EQ(T.Ops->Popcount(A.data(), N, Mask), refPopcount(A, Bits))
-          << T.Label << " iter=" << Iter;
-      EXPECT_EQ(T.Ops->IsSubsetOf(A.data(), B.data(), N, Mask),
-                refIsSubset(A, B, Bits))
-          << T.Label << " iter=" << Iter;
-      EXPECT_EQ(T.Ops->Intersects(A.data(), B.data(), N, Mask),
-                refIntersects(A, B, Bits))
-          << T.Label << " iter=" << Iter;
-      WordOp Op = AllWordOps[Rng() % 4];
-      Words Dst = A;
-      runWordOp(*T.Ops, Op, Dst, B);
-      EXPECT_EQ(Dst, refWordOp(Op, A, B)) << T.Label << " iter=" << Iter;
+  std::mt19937_64 Rng(0xC0FFEE);
+  for (int Iter = 0; Iter < 10000; ++Iter) {
+    size_t Bits = Rng() % 1100;
+    size_t N = wordsFor(Bits);
+    uint64_t Mask = tailMaskFor(Bits);
+    Words A = randomWords(Rng, N);
+    Words B = randomWords(Rng, N);
+    // A third of the pairs are made subsets (B |= A) and a third disjoint
+    // (B &= ~A); half of those then get one bit, anywhere, that breaks the
+    // relation, so the subset and intersects verdicts hinge on one word.
+    size_t Shape = Rng() % 3;
+    for (size_t I = 0; I < N; ++I)
+      B[I] = Shape == 1 ? B[I] | A[I] : Shape == 2 ? B[I] & ~A[I] : B[I];
+    if (Shape != 0 && Bits != 0 && (Rng() & 1)) {
+      size_t P = Rng() % Bits;
+      setBit(A, P);
+      if (Shape == 1)
+        B[P / 64] &= ~(uint64_t(1) << (P % 64)); // A escapes B at P.
+      else
+        setBit(B, P); // A and B meet at P.
     }
+    // Half the pairs carry garbage past size(); read kernels must mask it
+    // out, so dirty tails cannot change any verdict.
+    bool Dirty = Rng() & 1;
+    if (!Dirty) {
+      cleanTail(A, Bits);
+      cleanTail(B, Bits);
+    }
+    EXPECT_EQ(popcount(A.data(), N, Mask), refPopcount(A, Bits))
+        << "iter=" << Iter;
+    EXPECT_EQ(isSubsetOf(A.data(), B.data(), N, Mask),
+              refIsSubset(A, B, Bits))
+        << "iter=" << Iter;
+    EXPECT_EQ(intersects(A.data(), B.data(), N, Mask),
+              refIntersects(A, B, Bits))
+        << "iter=" << Iter;
+    WordOp Op = AllWordOps[Rng() % 4];
+    Words Dst = A;
+    runWordOp(Op, Dst, B);
+    EXPECT_EQ(Dst, refWordOp(Op, A, B)) << "iter=" << Iter;
   }
 }
 
-// The fused multi-operand AND: K = 0 must leave Dst untouched, and any K
-// must equal folding the operands one at a time.
+// The fused multi-operand AND, in every form the CPU can run: K = 0 must
+// leave Dst untouched, and any K must equal folding the operands one at a
+// time. The word counts straddle the 4-word and 16-word blocks.
 TEST(KernelsDifferentialTest, AndManyIntoMatchesFold) {
-  for (const NamedTable &T : allTables()) {
+  for (const AndManyForm &F : andManyForms()) {
     std::mt19937_64 Rng(0xAB5EED);
     for (size_t NumWords : {size_t(0), size_t(1), size_t(2), size_t(3),
                             size_t(4), size_t(5), size_t(15), size_t(16),
@@ -255,120 +259,74 @@ TEST(KernelsDifferentialTest, AndManyIntoMatchesFold) {
         Words Expect = Dst;
         for (const Words &Row : Rows)
           Expect = refWordOp(WordOp::And, Expect, Row);
-        T.Ops->AndManyInto(Dst.data(), Ptrs.data(), K, NumWords);
-        EXPECT_EQ(Dst, Expect)
-            << T.Label << " K=" << K << " words=" << NumWords;
+        F.Fn(Dst.data(), Ptrs.data(), K, NumWords);
+        EXPECT_EQ(Dst, Expect) << F.Label << " K=" << K
+                               << " words=" << NumWords;
       }
     }
   }
 }
 
-// andSelectInto goes through the *dispatched* table, so it is pinned to
-// each level with ForcedLevelGuard and compared against a naive per-row
-// fold over the same arena.
+// andSelectInto against a naive per-row fold over the same arena, on both
+// of its paths: the in-register fold (≤ 4 words) and the batched fused AND
+// (wider accumulators, which run whichever form this CPU selects).
 TEST(KernelsDifferentialTest, AndSelectIntoMatchesNaiveAtEveryLevel) {
-  std::vector<Level> Levels = {Level::Scalar, Level::Unrolled};
-  if (maxSupportedLevel() == Level::Vector)
-    Levels.push_back(Level::Vector);
-  for (Level L : Levels) {
-    ForcedLevelGuard Guard(L);
-    ASSERT_EQ(activeLevel(), L);
-    std::mt19937_64 Rng(0x5E1EC7);
-    for (int Iter = 0; Iter < 300; ++Iter) {
-      size_t NumRows = Rng() % 70;
-      size_t NumWords = Rng() % 9;
-      size_t Stride = NumWords + Rng() % 3; // rows may be over-aligned
-      Words Arena = randomWords(Rng, NumRows * Stride);
-      size_t SelWords = wordsFor(NumRows);
-      Words Sel = randomWords(Rng, SelWords);
-      cleanTail(Sel, NumRows);
-      Words Dst = randomWords(Rng, NumWords);
+  std::mt19937_64 Rng(0x5E1EC7);
+  for (int Iter = 0; Iter < 600; ++Iter) {
+    size_t NumRows = Rng() % 70;
+    size_t NumWords = Rng() % 21;
+    size_t Stride = NumWords + Rng() % 3; // rows may be over-aligned
+    Words Arena = randomWords(Rng, NumRows * Stride);
+    size_t SelWords = wordsFor(NumRows);
+    Words Sel = randomWords(Rng, SelWords);
+    cleanTail(Sel, NumRows);
+    Words Dst = randomWords(Rng, NumWords);
 
-      Words Expect = Dst;
-      for (size_t P = 0; P < NumRows; ++P)
-        if (bitOf(Sel, P))
-          for (size_t I = 0; I < NumWords; ++I)
-            Expect[I] &= Arena[P * Stride + I];
+    Words Expect = Dst;
+    for (size_t P = 0; P < NumRows; ++P)
+      if (bitOf(Sel, P))
+        for (size_t I = 0; I < NumWords; ++I)
+          Expect[I] &= Arena[P * Stride + I];
 
-      andSelectInto(Dst.data(), Arena.data(), Stride, Sel.data(), SelWords,
-                    NumWords);
-      EXPECT_EQ(Dst, Expect)
-          << levelName(L) << " iter=" << Iter << " rows=" << NumRows;
-    }
+    andSelectInto(Dst.data(), Arena.data(), Stride, Sel.data(), SelWords,
+                  NumWords);
+    EXPECT_EQ(Dst, Expect) << "iter=" << Iter << " rows=" << NumRows
+                           << " words=" << NumWords;
   }
 }
 
 // A tail stuffed with all-ones garbage must be invisible to every read
 // kernel: identical verdicts and counts as the clean copy.
 TEST(KernelsDifferentialTest, DirtyTailsCannotLeakIntoVerdicts) {
-  for (const NamedTable &T : allTables()) {
-    for (size_t Bits : {size_t(1), size_t(63), size_t(65), size_t(127),
-                        size_t(130), size_t(257)}) {
-      size_t N = wordsFor(Bits);
-      uint64_t Mask = tailMaskFor(Bits);
-      std::mt19937_64 Rng(Bits);
-      Words A = randomWords(Rng, N);
-      Words B = randomWords(Rng, N);
-      cleanTail(A, Bits);
-      cleanTail(B, Bits);
-      Words DirtyA = A, DirtyB = B;
-      DirtyA.back() |= ~tailMaskFor(Bits);
-      DirtyB.back() |= ~tailMaskFor(Bits);
-      if (Bits % 64 == 0) {
-        // Whole-word sizes have no tail to dirty; the mask is all-ones.
-        EXPECT_EQ(Mask, ~uint64_t(0));
-        continue;
-      }
-      EXPECT_EQ(T.Ops->Popcount(DirtyA.data(), N, Mask),
-                T.Ops->Popcount(A.data(), N, Mask))
-          << T.Label << " bits=" << Bits;
-      EXPECT_EQ(T.Ops->IsSubsetOf(DirtyA.data(), DirtyB.data(), N, Mask),
-                T.Ops->IsSubsetOf(A.data(), B.data(), N, Mask))
-          << T.Label << " bits=" << Bits;
-      // Subset must also hold across clean/dirty mixes: garbage in A's
-      // tail must not make A appear to escape B.
-      EXPECT_EQ(T.Ops->IsSubsetOf(DirtyA.data(), B.data(), N, Mask),
-                T.Ops->IsSubsetOf(A.data(), B.data(), N, Mask))
-          << T.Label << " bits=" << Bits;
-      EXPECT_EQ(T.Ops->Intersects(DirtyA.data(), DirtyB.data(), N, Mask),
-                T.Ops->Intersects(A.data(), B.data(), N, Mask))
-          << T.Label << " bits=" << Bits;
+  for (size_t Bits : {size_t(1), size_t(63), size_t(65), size_t(127),
+                      size_t(130), size_t(257)}) {
+    size_t N = wordsFor(Bits);
+    uint64_t Mask = tailMaskFor(Bits);
+    std::mt19937_64 Rng(Bits);
+    Words A = randomWords(Rng, N);
+    Words B = randomWords(Rng, N);
+    cleanTail(A, Bits);
+    cleanTail(B, Bits);
+    Words DirtyA = A, DirtyB = B;
+    DirtyA.back() |= ~tailMaskFor(Bits);
+    DirtyB.back() |= ~tailMaskFor(Bits);
+    if (Bits % 64 == 0) {
+      // Whole-word sizes have no tail to dirty; the mask is all-ones.
+      EXPECT_EQ(Mask, ~uint64_t(0));
+      continue;
     }
+    EXPECT_EQ(popcount(DirtyA.data(), N, Mask), popcount(A.data(), N, Mask))
+        << "bits=" << Bits;
+    EXPECT_EQ(isSubsetOf(DirtyA.data(), DirtyB.data(), N, Mask),
+              isSubsetOf(A.data(), B.data(), N, Mask))
+        << "bits=" << Bits;
+    // Subset must also hold across clean/dirty mixes: garbage in A's tail
+    // must not make A appear to escape B.
+    EXPECT_EQ(isSubsetOf(DirtyA.data(), B.data(), N, Mask),
+              isSubsetOf(A.data(), B.data(), N, Mask))
+        << "bits=" << Bits;
+    EXPECT_EQ(intersects(DirtyA.data(), DirtyB.data(), N, Mask),
+              intersects(A.data(), B.data(), N, Mask))
+        << "bits=" << Bits;
   }
-}
-
-TEST(KernelsDispatchTest, ParseLevelAcceptsAllSpellings) {
-  EXPECT_EQ(parseLevel("scalar"), Level::Scalar);
-  EXPECT_EQ(parseLevel("unrolled"), Level::Unrolled);
-  EXPECT_EQ(parseLevel("vector"), Level::Vector);
-  EXPECT_EQ(parseLevel("avx2"), Level::Vector);
-  EXPECT_EQ(parseLevel("neon"), Level::Vector);
-  EXPECT_EQ(parseLevel(""), std::nullopt);
-  EXPECT_EQ(parseLevel("sse9"), std::nullopt);
-}
-
-TEST(KernelsDispatchTest, ForcedLevelGuardRestores) {
-  Level Before = activeLevel();
-  {
-    ForcedLevelGuard Guard(Level::Scalar);
-    EXPECT_EQ(activeLevel(), Level::Scalar);
-    EXPECT_STREQ(ops().Name, "scalar");
-  }
-  EXPECT_EQ(activeLevel(), Before);
-}
-
-TEST(KernelsDispatchTest, ForceLevelClampsToSupported) {
-  ForcedLevelGuard Outer(Level::Scalar);
-  forceLevel(Level::Vector);
-  EXPECT_LE(static_cast<int>(activeLevel()),
-            static_cast<int>(maxSupportedLevel()));
-  EXPECT_STREQ(ops().Name, levelName(activeLevel()));
-}
-
-TEST(KernelsDispatchTest, LevelNamesAreStable) {
-  EXPECT_STREQ(levelName(Level::Scalar), "scalar");
-  EXPECT_STREQ(levelName(Level::Unrolled), "unrolled");
-  // Vector resolves to the host ISA's name.
-  std::string V = levelName(Level::Vector);
-  EXPECT_TRUE(V == "avx2" || V == "neon" || V == "unrolled") << V;
 }

@@ -9,12 +9,13 @@
 // rules and the write-ahead loop; the fuzz suite feeds random command
 // streams (label with every selection form, undo, focus inside focus,
 // unfocus, save/load, malformed ids, arguments and regexes) to random
-// sessions and, after every line, checks labels and undo depth at every
-// focus level against SessionModelTest's reference model; the replay
-// suite crashes a journaled interpreter at random points (some with a
-// focus still open), recovers it, and requires the final session to be
-// byte-identical to the uninterrupted run's — including streams where a
-// `load` failed live against a file a later `save` created.
+// sessions (complete lattices, and lattices a concept cap truncated) and,
+// after every line, checks labels and undo depth at every focus level
+// against SessionModelTest's reference model; the replay suite crashes a
+// journaled interpreter at random points (some with a focus still open),
+// recovers it, and requires the final session to be byte-identical to the
+// uninterrupted run's — including streams where a `load` failed live
+// against a file a later `save` created.
 //
 //===----------------------------------------------------------------------===//
 
@@ -373,9 +374,16 @@ TEST(CommandsTest, FailedAppendIsFatalAndNotApplied) {
 
 class CommandsFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// Seeds from this one on build their session under a concept cap that
+/// truncates the lattice (the tools' --max-concepts --keep-going path).
+constexpr uint64_t kFirstTruncatedSeed = 40;
+
 TEST_P(CommandsFuzzTest, RandomCommandStreamsAgreeWithModel) {
   RNG Rand(GetParam() * 7919 + 11);
-  CommandInterpreter Cli(makeRandomSession(Rand));
+  bool Truncated = GetParam() >= kFirstTruncatedSeed;
+  CommandInterpreter Cli(Truncated ? makeTruncatedSession(Rand)
+                                   : makeRandomSession(Rand));
+  ASSERT_EQ(Cli.base().truncated(), Truncated);
   std::string Dir = freshDir("fuzz" + std::to_string(GetParam()));
   ModelChecker Checker(Cli);
   for (int Step = 0; Step < 120 && !::testing::Test::HasFatalFailure();
@@ -385,7 +393,7 @@ TEST_P(CommandsFuzzTest, RandomCommandStreamsAgreeWithModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CommandsFuzzTest,
-                         ::testing::Range<uint64_t>(0, 40));
+                         ::testing::Range<uint64_t>(0, 60));
 
 class CommandsReplayTest : public ::testing::TestWithParam<uint64_t> {};
 
