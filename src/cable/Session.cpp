@@ -30,20 +30,12 @@ namespace {
 /// enumeration order fixes the node ids of every artifact.
 constexpr const char *kLatticeBuilderId = "nextclosure";
 
-/// The budget half of the cache key. Only deterministic caps participate:
-/// a MaxConcepts-truncated lattice is an exact lectic prefix, so the cap
-/// must distinguish artifacts; wall-clock deadlines make the result
-/// timing-dependent and are handled by bypassing the cache entirely.
+/// The budget half of the cache key. Only the deterministic cap
+/// participates: a MaxConcepts-truncated lattice is an exact lectic prefix,
+/// so the cap must distinguish artifacts; wall-clock deadlines make the
+/// result timing-dependent and are handled by bypassing the cache entirely.
 std::string budgetFingerprint(const Budget &B) {
-  std::string FP;
-  if (B.MaxConcepts)
-    FP += "mc" + std::to_string(*B.MaxConcepts);
-  if (B.MaxContextCells) {
-    if (!FP.empty())
-      FP += "-";
-    FP += "cc" + std::to_string(*B.MaxContextCells);
-  }
-  return FP.empty() ? "full" : FP;
+  return B.MaxConcepts ? "mc" + std::to_string(*B.MaxConcepts) : "full";
 }
 
 } // namespace
@@ -53,11 +45,7 @@ Session::Session(TraceSet TracesIn, Automaton ReferenceFA) {
   RefFA = std::move(ReferenceFA);
   assert(!RefFA.hasEpsilons() &&
          "reference FA must be epsilon-free (apply withoutEpsilons)");
-  // Unlimited budget: init() cannot fail (the epsilon case asserted above
-  // is its only other error).
-  Status S = init(SessionOptions());
-  (void)S;
-  assert(S.isOk() && "unbudgeted session construction cannot fail");
+  init(SessionOptions());
 }
 
 StatusOr<Session> Session::build(TraceSet Traces, Automaton ReferenceFA,
@@ -70,12 +58,11 @@ StatusOr<Session> Session::build(TraceSet Traces, Automaton ReferenceFA,
         ErrorCode::InvalidArgument,
         "reference FA has epsilon transitions; apply withoutEpsilons() "
         "before building a session");
-  if (Status InitSt = S.init(Options); !InitSt.isOk())
-    return InitSt;
+  S.init(Options);
   return S;
 }
 
-Status Session::init(const SessionOptions &Options) {
+void Session::init(const SessionOptions &Options) {
   TraceSpan Span("session-init");
   Classes = Traces.computeClasses();
 
@@ -90,13 +77,6 @@ Status Session::init(const SessionOptions &Options) {
     for (size_t A : Row)
       Ctx.relate(Obj, A);
   }
-
-  // A context over the cell budget is an outright error unless the caller
-  // asked to keep going, in which case the budgeted builder degrades to a
-  // top/bottom-only lattice and the baseline clustering carries the day.
-  if (Status CellsSt = checkContextCells(Ctx, Options.ResourceBudget);
-      !CellsSt.isOk() && !Options.KeepGoing)
-    return CellsSt;
 
   // Content-addressed lattice cache. The key never mentions the kernel
   // level (it is bit-for-bit irrelevant), and a wall-clock budget
@@ -169,7 +149,7 @@ Status Session::init(const SessionOptions &Options) {
     BuildSt = Status::ok();
     Metrics::counter("session.builds").add();
     Labels.assign(Classes.numClasses(), std::nullopt);
-    return Status::ok();
+    return;
   }
 
   // Step 1c: concept analysis by NextClosure. A budget stop truncates at
@@ -221,7 +201,6 @@ Status Session::init(const SessionOptions &Options) {
   }
 
   Labels.assign(Classes.numClasses(), std::nullopt);
-  return Status::ok();
 }
 
 BitVector Session::ownObjects(NodeId Id) const {

@@ -12,8 +12,9 @@
 ///  Step 1b/1c: the context has one object per class of identical traces
 ///  and one attribute per reference-FA transition, related by the executed-
 ///  transition relation R; the concept lattice is built with the
-///  NextClosure batch builder (lectic-canonical; GodinBuilder remains
-///  available for incremental maintenance and as a differential oracle).
+///  NextClosure batch builder (lectic-canonical). GodinBuilder, the
+///  paper's §3.1.1 algorithm, serves Table 2 and is its differential
+///  oracle.
 ///
 ///  Step 2: the user partitions traces into labels (`good`, `bad`, or
 ///  domain-specific labels like `good_fopen`) by labeling whole concepts.
@@ -71,11 +72,6 @@ struct SessionOptions {
   /// always complete regardless.
   Budget ResourceBudget;
 
-  /// When the context itself exceeds Budget::MaxContextCells: true builds
-  /// a degenerate (top/bottom only) truncated lattice so baseline
-  /// clustering remains usable; false makes build() fail outright.
-  bool KeepGoing = false;
-
   /// Directory of the content-addressed lattice artifact store; "" (the
   /// default) disables caching. The key is context hash x builder x
   /// budget fingerprint — deliberately independent of the CPU's kernels,
@@ -105,10 +101,9 @@ public:
   /// attribute rows and are reported by rejectedObjects().
   Session(TraceSet Traces, Automaton ReferenceFA);
 
-  /// Budget-aware construction: as the constructor, but recoverable
-  /// errors (an epsilon FA, a context over MaxContextCells without
-  /// KeepGoing) come back as a failed Status instead of aborting, and
-  /// lattice construction honors Options.ResourceBudget — on exhaustion
+  /// Budget-aware construction: as the constructor, but an epsilon FA
+  /// comes back as a failed Status instead of aborting, and lattice
+  /// construction honors Options.ResourceBudget — on exhaustion
   /// the session is still returned with truncated() set, a partial (but
   /// well-formed) lattice, and the complete baseline clustering.
   static StatusOr<Session> build(TraceSet Traces, Automaton ReferenceFA,
@@ -285,9 +280,8 @@ private:
   /// For build(): members are filled in by init().
   Session() = default;
 
-  /// Shared construction tail; returns a failed Status only for the
-  /// recoverable errors documented on build().
-  Status init(const SessionOptions &Options);
+  /// Shared construction tail: context, cache lookup, lattice build.
+  void init(const SessionOptions &Options);
 
   TraceSet Traces;
   TraceClasses Classes;

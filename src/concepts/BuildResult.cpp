@@ -80,18 +80,3 @@ Status cable::truncationStatus(BuildStop Stop, const BudgetMeter &Meter,
                        std::string(What) + " exceeded the concept budget (" +
                            std::to_string(Max) + " concepts)");
 }
-
-Status cable::checkContextCells(const Context &Ctx, const Budget &B) {
-  if (!B.MaxContextCells)
-    return Status::ok();
-  size_t Cells = Ctx.numObjects() * Ctx.numAttributes();
-  if (Cells <= *B.MaxContextCells)
-    return Status::ok();
-  return Status::error(ErrorCode::ResourceExhausted,
-                       "context has " + std::to_string(Cells) +
-                           " cells (" + std::to_string(Ctx.numObjects()) +
-                           " objects x " +
-                           std::to_string(Ctx.numAttributes()) +
-                           " attributes), exceeding the budget of " +
-                           std::to_string(*B.MaxContextCells));
-}

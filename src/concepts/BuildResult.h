@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared result type and helpers for budgeted lattice construction.
-/// Concept lattices are worst-case exponential in the context, so every
-/// builder has a buildLatticeBudgeted entry point that stops cooperatively
-/// at a BudgetMeter checkpoint and returns a *partial* lattice flagged
-/// Truncated instead of running unbounded.
+/// Result type and helpers for budgeted lattice construction. Concept
+/// lattices are worst-case exponential in the context, so
+/// NextClosureBuilder::buildLatticeBudgeted stops cooperatively at a
+/// BudgetMeter checkpoint and returns a *partial* lattice flagged Truncated
+/// instead of running unbounded.
 ///
 /// A truncated result is always a well-formed ConceptLattice (the top and
 /// bottom concepts of the full context are ensured), just not the complete
@@ -32,19 +32,16 @@ namespace cable {
 enum class BuildStop : uint8_t {
   Complete,   ///< Ran to the end; the lattice is the full one.
   ConceptCap, ///< Budget::MaxConcepts was hit with concepts remaining.
-  Time,       ///< The deadline passed or the meter was cancelled.
+  Time,       ///< The deadline passed.
   Memory,     ///< std::bad_alloc was contained; the prefix survived.
 };
 
-/// What a budgeted builder hands back: a lattice (complete, or a partial
-/// one when Truncated), the status explaining any truncation, and how many
-/// concepts were enumerated before stopping (which can exceed the size of
-/// a deadline-truncated lattice; see DeadlineKeepCap).
+/// What a budgeted build hands back: a lattice (complete, or a partial
+/// one when Truncated) and the status explaining any truncation.
 struct LatticeBuildResult {
   ConceptLattice Lattice;
   Status BuildStatus;
   bool Truncated = false;
-  size_t NumEnumerated = 0;
 };
 
 /// How many concepts a deadline-truncated result retains. Enumeration can
@@ -66,15 +63,10 @@ ConceptLattice finalizeTruncatedConcepts(const Context &Ctx,
                                          std::vector<Concept> Concepts,
                                          size_t Cap);
 
-/// The Status describing a truncated build: Cancelled / ResourceExhausted
-/// with a message naming the exhausted limit. \p Stop must not be
-/// Complete.
+/// The Status describing a truncated build: ResourceExhausted with a
+/// message naming the exhausted limit. \p Stop must not be Complete.
 Status truncationStatus(BuildStop Stop, const BudgetMeter &Meter,
                         const char *What);
-
-/// Ok, or ResourceExhausted when the context is larger than
-/// Budget::MaxContextCells allows (cells = objects × attributes).
-Status checkContextCells(const Context &Ctx, const Budget &B);
 
 } // namespace cable
 

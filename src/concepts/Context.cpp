@@ -145,11 +145,6 @@ void Context::sigmaIntoUncounted(const BitVector &Objects,
   assert(Objects.size() == numObjects() && "object universe mismatch");
   assert(Out.size() == numAttributes() && "output universe mismatch");
   Out.setAll();
-  if (UseReferencePaths) {
-    for (size_t O : Objects)
-      Out &= ObjectRows[O];
-    return;
-  }
   simd::andSelectInto(Out.words(), RowArena.data(), RowStride,
                       Objects.words(), Objects.numWords(), Out.numWords());
   assert(Out.tailIsClean());
@@ -164,11 +159,6 @@ void Context::tauIntoUncounted(const BitVector &Attrs, BitVector &Out) const {
   assert(Attrs.size() == numAttributes() && "attribute universe mismatch");
   assert(Out.size() == numObjects() && "output universe mismatch");
   Out.setAll();
-  if (UseReferencePaths) {
-    for (size_t A : Attrs)
-      Out &= AttributeColsRef[A];
-    return;
-  }
   simd::andSelectInto(Out.words(), ColArena.data(), ColStride, Attrs.words(),
                       Attrs.numWords(), Out.numWords());
   assert(Out.tailIsClean());
@@ -217,8 +207,7 @@ void Context::closeIntentIntoUncounted(const BitVector &Attrs,
   // Contexts whose attributes fit one word (the paper's regime: attributes
   // are FA transitions) and whose objects fit eight run the whole closure
   // in registers; the switch picks a fully unrolled column stride.
-  if (!UseReferencePaths && RowStride == 1 && ColStride >= 1 &&
-      ColStride <= 8) {
+  if (RowStride == 1 && ColStride >= 1 && ColStride <= 8) {
     assert(Attrs.size() == NAttr && Out.size() == NAttr &&
            ObjScratch.size() == NObj && "universe mismatch");
     uint64_t Sel = Attrs.words()[0];
@@ -267,8 +256,7 @@ void Context::closeIntentIntoUncounted(const BitVector &Attrs,
 
 void Context::closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,
                               BitVector &Out) const {
-  if (!UseReferencePaths && RowStride == 1 && ColStride >= 1 &&
-      ColStride <= 8) {
+  if (RowStride == 1 && ColStride >= 1 && ColStride <= 8) {
     assert(Objects.size() == NObj && Out.size() == NObj &&
            AttrScratch.size() == NAttr && "universe mismatch");
     NumSigma.add();

@@ -24,10 +24,9 @@
 /// objectRow()/attributeCol() API (GodinBuilder consumes rows directly).
 ///
 /// The pre-arena derivation code is kept as sigmaReference/tauReference:
-/// it is the bit-for-bit oracle for the layout differential tests and the
-/// "pre-PR scalar" baseline the closure-throughput benches compare
-/// against. setUseReferencePaths(true) routes sigma/tau through it so
-/// whole lattice builds can be replayed on the legacy path.
+/// it is the bit-for-bit oracle for the layout differential tests (which
+/// also check built lattices against the closure system it induces) and
+/// the scalar baseline the closure-throughput benches compare against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,12 +127,6 @@ public:
     return sigmaReference(tauReference(Attrs));
   }
 
-  /// Routes sigma/tau (and everything built on them) through the
-  /// reference implementations — the old-path side of the builder
-  /// differential tests.
-  void setUseReferencePaths(bool On) { UseReferencePaths = On; }
-  bool useReferencePaths() const { return UseReferencePaths; }
-
   /// Canonical content hash of the context: a 16-hex-digit FNV-1a digest
   /// of (numObjects, numAttributes, object-major incidence words in
   /// little-endian byte order). This is the content-addressing key of the
@@ -174,7 +167,6 @@ private:
   /// mirrors columns solely for the reference tau path.
   std::vector<BitVector> ObjectRows;
   std::vector<BitVector> AttributeColsRef;
-  bool UseReferencePaths = false;
 };
 
 } // namespace cable

@@ -28,7 +28,6 @@
 #ifndef CABLE_CONCEPTS_GODINBUILDER_H
 #define CABLE_CONCEPTS_GODINBUILDER_H
 
-#include "concepts/BuildResult.h"
 #include "concepts/Lattice.h"
 
 namespace cable {
@@ -43,14 +42,6 @@ public:
   /// order). \p Attrs must be sized to the attribute universe.
   void addObject(const BitVector &Attrs);
 
-  /// Budgeted addObject: visits existing concepts with a \p Meter
-  /// checkpoint per visit, and refuses insertions that would push the
-  /// concept count past \p MaxConcepts. All mutation is committed at the
-  /// end, so a false return (budget hit) leaves the builder exactly as it
-  /// was — the complete lattice of the objects added so far.
-  bool addObjectBudgeted(const BitVector &Attrs, const BudgetMeter &Meter,
-                         size_t MaxConcepts);
-
   size_t numObjects() const { return NumObjects; }
   size_t numConcepts() const { return Concepts.size(); }
 
@@ -59,21 +50,9 @@ public:
   /// them instead.
   ConceptLattice build() const;
 
-  /// The accumulated concepts, extents resized to \p ExtentUniverse
-  /// objects (pass the full context size to make a truncated snapshot
-  /// comparable with batch-built concepts).
-  std::vector<Concept> snapshotConcepts(size_t ExtentUniverse) const;
-
   /// Convenience: runs the incremental algorithm over all objects of
   /// \p Ctx in index order.
   static ConceptLattice buildLattice(const Context &Ctx);
-
-  /// Budgeted construction: the full lattice when the budget suffices,
-  /// otherwise a partial lattice flagged Truncated, containing the
-  /// concepts of the objects inserted before exhaustion plus the full
-  /// context's top and bottom (see BuildResult.h).
-  static LatticeBuildResult buildLatticeBudgeted(const Context &Ctx,
-                                                 const BudgetMeter &Meter);
 
 private:
   size_t NumAttributes;

@@ -19,8 +19,8 @@ using namespace cable;
 namespace {
 
 // Total closure computations and concepts emitted in the process.
-// Enumeration loops accumulate locally and flush once per call, so the
-// hot loop never touches an atomic.
+// The enumeration loop accumulates locally and flushes once per call, so
+// the hot loop never touches an atomic.
 Metrics::Counter &NumClosures = Metrics::counter("lattice.closures");
 Metrics::Counter &NumConcepts = Metrics::counter("lattice.concepts");
 Metrics::Counter &OomContained = Metrics::counter("lattice.oom-contained");
@@ -43,6 +43,95 @@ std::vector<Concept> conceptsOf(const Context &Ctx,
   return Concepts;
 }
 
+/// NextClosure's lectic enumeration, checking \p Meter before every
+/// candidate closure and stopping at Budget::MaxConcepts. The returned
+/// vector is always a (possibly complete) prefix of the lectic order; \p
+/// Stop reports whether and why it is proper.
+std::vector<BitVector> enumerateIntents(const Context &Ctx,
+                                        const BudgetMeter &Meter,
+                                        BuildStop &Stop) {
+  TraceSpan Span("next-closure-enumerate");
+  size_t M = Ctx.numAttributes();
+  size_t Max = Meter.budget().MaxConcepts.value_or(SIZE_MAX);
+  uint64_t LocalClosures = 1;
+  std::vector<BitVector> Out;
+  Stop = BuildStop::Complete;
+
+  // All candidate/closure buffers live outside the enumeration loop: a
+  // rejected candidate (the common case) costs zero allocations, only an
+  // accepted concept pays one copy into Out. The lectic least closed
+  // intent is emitted unconditionally so even an already-expired meter
+  // yields a nonempty prefix (the top concept).
+  BitVector A(M), B(M), Closed(M), ObjScratch(Ctx.numObjects());
+  Ctx.closeIntentInto(BitVector(M), ObjScratch, A);
+  Out.push_back(A);
+
+  try {
+    // Each pass finds the lectic successor of A; the enumeration ends when
+    // there is none or the budget stops it.
+    for (bool Advanced = true; Advanced && Stop == BuildStop::Complete;) {
+      Advanced = false;
+      for (size_t IPlus1 = M; IPlus1 > 0; --IPlus1) {
+        size_t I = IPlus1 - 1;
+        if (A.test(I))
+          continue;
+        // One checkpoint per candidate closure; the closure dominates the
+        // cost of the atomic load by orders of magnitude.
+        if (Meter.expired()) {
+          Stop = BuildStop::Time;
+          break;
+        }
+        if (!Failpoint::hit("lattice-oom").isOk())
+          throw std::bad_alloc();
+        // Candidate: closure((A ∩ {0..I-1}) ∪ {I}).
+        B.resetAll();
+        for (size_t J : A) {
+          if (J >= I)
+            break;
+          B.set(J);
+        }
+        B.set(I);
+        Ctx.closeIntentInto(B, ObjScratch, Closed);
+        ++LocalClosures;
+        // Accept iff the closure agrees with A below I (B +_i A in
+        // Ganter's notation).
+        bool Agrees = true;
+        for (size_t J : Closed) {
+          if (J >= I)
+            break;
+          if (!A.test(J)) {
+            Agrees = false;
+            break;
+          }
+        }
+        if (!Agrees)
+          continue;
+        if (Out.size() >= Max) {
+          // A successor exists beyond the cap, so the prefix is proper.
+          // Deciding this only *after* finding the successor makes the
+          // Truncated flag exact: a context with exactly Max concepts
+          // builds complete.
+          Stop = BuildStop::ConceptCap;
+          break;
+        }
+        Out.push_back(Closed);
+        std::swap(A, Closed);
+        Advanced = true;
+        break;
+      }
+    }
+  } catch (const std::bad_alloc &) {
+    // Containment: an allocation failure becomes a Memory stop keeping the
+    // lectic prefix enumerated so far, so an OOMing build reports a
+    // truncated result instead of terminating.
+    Stop = BuildStop::Memory;
+    OomContained.add();
+  }
+  NumClosures.add(LocalClosures);
+  NumConcepts.add(Out.size());
+  return Out;
+}
+
 /// Turns the lectic prefix \p Intents of a stopped enumeration into a
 /// truncated result.
 LatticeBuildResult truncatedResult(const Context &Ctx,
@@ -50,7 +139,6 @@ LatticeBuildResult truncatedResult(const Context &Ctx,
                                    BuildStop Stop, const BudgetMeter &Meter) {
   LatticeBuildResult R;
   R.Truncated = true;
-  R.NumEnumerated = Intents.size();
   R.BuildStatus = truncationStatus(Stop, Meter, "lattice construction");
   // Memory cuts are capped like deadline cuts: the enumerated prefix can
   // be the very allocation pressure that triggered containment, and the
@@ -71,60 +159,12 @@ LatticeBuildResult truncatedResult(const Context &Ctx,
 
 std::vector<BitVector>
 NextClosureBuilder::allClosedIntents(const Context &Ctx) {
-  TraceSpan Span("next-closure-enumerate");
-  size_t M = Ctx.numAttributes();
-  uint64_t LocalClosures = 1;
-  std::vector<BitVector> Out;
-
-  // All candidate/closure buffers live outside the enumeration loop: a
-  // rejected candidate (the common case) costs zero allocations, only an
-  // accepted concept pays one copy into Out.
-  BitVector A(M), B(M), Closed(M), ObjScratch(Ctx.numObjects());
-  Ctx.closeIntentInto(BitVector(M), ObjScratch, A);
-  Out.push_back(A);
-
-  // The lectically largest closed set is the closure of the full set, which
-  // is the full set itself only if reached; iterate until no successor.
-  for (;;) {
-    bool Advanced = false;
-    // Find the lectic successor of A.
-    for (size_t IPlus1 = M; IPlus1 > 0; --IPlus1) {
-      size_t I = IPlus1 - 1;
-      if (A.test(I))
-        continue;
-      // Candidate: closure((A ∩ {0..I-1}) ∪ {I}).
-      B.resetAll();
-      for (size_t J : A) {
-        if (J >= I)
-          break;
-        B.set(J);
-      }
-      B.set(I);
-      Ctx.closeIntentInto(B, ObjScratch, Closed);
-      ++LocalClosures;
-      // Accept iff the closure agrees with A below I (B +_i A in Ganter's
-      // notation).
-      bool Agrees = true;
-      for (size_t J : Closed) {
-        if (J >= I)
-          break;
-        if (!A.test(J)) {
-          Agrees = false;
-          break;
-        }
-      }
-      if (Agrees) {
-        Out.push_back(Closed);
-        std::swap(A, Closed);
-        Advanced = true;
-        break;
-      }
-    }
-    if (!Advanced)
-      break;
-  }
-  NumClosures.add(LocalClosures);
-  NumConcepts.add(Out.size());
+  BudgetMeter Unlimited{Budget{}};
+  BuildStop Stop;
+  std::vector<BitVector> Out = enumerateIntents(Ctx, Unlimited, Stop);
+  // Only memory can stop an unlimited meter.
+  if (Stop == BuildStop::Memory)
+    throw std::bad_alloc();
   return Out;
 }
 
@@ -133,106 +173,12 @@ ConceptLattice NextClosureBuilder::buildLattice(const Context &Ctx) {
                                       conceptsOf(Ctx, allClosedIntents(Ctx)));
 }
 
-std::vector<BitVector>
-NextClosureBuilder::allClosedIntentsBudgeted(const Context &Ctx,
-                                             const BudgetMeter &Meter,
-                                             BuildStop &Stop) {
-  TraceSpan Span("next-closure-enumerate");
-  size_t M = Ctx.numAttributes();
-  size_t Max = Meter.budget().MaxConcepts.value_or(SIZE_MAX);
-  uint64_t LocalClosures = 1;
-  std::vector<BitVector> Out;
-  Stop = BuildStop::Complete;
-
-  // The lectic least closed intent is emitted unconditionally so even an
-  // already-expired meter yields a nonempty prefix (the top concept).
-  BitVector A(M), B(M), Closed(M), ObjScratch(Ctx.numObjects());
-  Ctx.closeIntentInto(BitVector(M), ObjScratch, A);
-  Out.push_back(A);
-
-  try {
-  for (;;) {
-    bool Advanced = false;
-    for (size_t IPlus1 = M; IPlus1 > 0; --IPlus1) {
-      size_t I = IPlus1 - 1;
-      if (A.test(I))
-        continue;
-      // One checkpoint per candidate closure; the closure dominates the
-      // cost of the atomic load by orders of magnitude.
-      if (Meter.expired()) {
-        Stop = BuildStop::Time;
-        NumClosures.add(LocalClosures);
-        NumConcepts.add(Out.size());
-        return Out;
-      }
-      if (!Failpoint::hit("lattice-oom").isOk())
-        throw std::bad_alloc();
-      B.resetAll();
-      for (size_t J : A) {
-        if (J >= I)
-          break;
-        B.set(J);
-      }
-      B.set(I);
-      Ctx.closeIntentInto(B, ObjScratch, Closed);
-      ++LocalClosures;
-      bool Agrees = true;
-      for (size_t J : Closed) {
-        if (J >= I)
-          break;
-        if (!A.test(J)) {
-          Agrees = false;
-          break;
-        }
-      }
-      if (Agrees) {
-        if (Out.size() >= Max) {
-          // A successor exists beyond the cap, so the prefix is proper.
-          // Deciding this only *after* finding the successor makes the
-          // Truncated flag exact: a context with exactly Max concepts
-          // builds complete.
-          Stop = BuildStop::ConceptCap;
-          NumClosures.add(LocalClosures);
-          NumConcepts.add(Out.size());
-          return Out;
-        }
-        Out.push_back(Closed);
-        std::swap(A, Closed);
-        Advanced = true;
-        break;
-      }
-    }
-    if (!Advanced)
-      break;
-  }
-  } catch (const std::bad_alloc &) {
-    // Containment: an allocation failure becomes a Memory stop keeping the
-    // lectic prefix enumerated so far, so an OOMing build reports a
-    // truncated result instead of terminating.
-    Stop = BuildStop::Memory;
-    OomContained.add();
-  }
-  NumClosures.add(LocalClosures);
-  NumConcepts.add(Out.size());
-  return Out;
-}
-
 LatticeBuildResult
 NextClosureBuilder::buildLatticeBudgeted(const Context &Ctx,
                                          const BudgetMeter &Meter) {
-  Status Cells = checkContextCells(Ctx, Meter.budget());
-  if (!Cells.isOk()) {
-    LatticeBuildResult R;
-    R.Lattice = finalizeTruncatedConcepts(Ctx, {}, DeadlineKeepCap);
-    R.BuildStatus = std::move(Cells);
-    R.Truncated = true;
-    return R;
-  }
-
   try {
     BuildStop Stop;
-    std::vector<BitVector> Intents =
-        allClosedIntentsBudgeted(Ctx, Meter, Stop);
+    std::vector<BitVector> Intents = enumerateIntents(Ctx, Meter, Stop);
     // If the deadline hit right as enumeration finished, do not start
     // extents and covers over a possibly huge complete set.
     if (Stop == BuildStop::Complete && Meter.expired())
@@ -241,7 +187,6 @@ NextClosureBuilder::buildLatticeBudgeted(const Context &Ctx,
       return truncatedResult(Ctx, std::move(Intents), Stop, Meter);
 
     LatticeBuildResult R;
-    R.NumEnumerated = Intents.size();
     R.Lattice =
         ConceptLattice::fromConcepts(Ctx, conceptsOf(Ctx, std::move(Intents)));
     return R;

@@ -12,6 +12,9 @@
 /// and GodinBuilder is checked against it — the two must produce the same
 /// concept set.
 ///
+/// There is one enumeration loop, metered by a BudgetMeter. The unbudgeted
+/// entry points run it under an unlimited meter.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CABLE_CONCEPTS_NEXTCLOSUREBUILDER_H
@@ -25,22 +28,18 @@ namespace cable {
 /// Batch construction via NextClosure.
 class NextClosureBuilder {
 public:
-  /// Enumerates every closed intent of \p Ctx, in lectic order.
+  /// Enumerates every closed intent of \p Ctx, in lectic order. Never
+  /// truncates: a contained allocation failure is rethrown as
+  /// std::bad_alloc.
   static std::vector<BitVector> allClosedIntents(const Context &Ctx);
 
   /// Builds the full concept lattice of \p Ctx.
   static ConceptLattice buildLattice(const Context &Ctx);
 
-  /// As allClosedIntents, but checks \p Meter before every candidate
-  /// closure and stops at Budget::MaxConcepts. The returned vector is
-  /// always a (possibly complete) prefix of the lectic enumeration; \p
-  /// Stop reports whether and why it is proper.
-  static std::vector<BitVector>
-  allClosedIntentsBudgeted(const Context &Ctx, const BudgetMeter &Meter,
-                           BuildStop &Stop);
-
-  /// Budgeted construction: the full lattice when the budget suffices,
-  /// otherwise a partial lattice flagged Truncated (see BuildResult.h).
+  /// Budgeted construction: checks \p Meter before every candidate closure
+  /// and stops at Budget::MaxConcepts. Returns the full lattice when the
+  /// budget suffices, otherwise a partial lattice flagged Truncated (see
+  /// BuildResult.h).
   static LatticeBuildResult buildLatticeBudgeted(const Context &Ctx,
                                                  const BudgetMeter &Meter);
 };

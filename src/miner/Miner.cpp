@@ -39,12 +39,3 @@ MiningResult Miner::mine(const TraceSet &Runs, std::string Name) const {
 Session Miner::debugSession(TraceSet Scenarios, Automaton ReferenceFA) const {
   return Session(std::move(Scenarios), std::move(ReferenceFA));
 }
-
-StatusOr<Session> Miner::debugSessionBudgeted(TraceSet Scenarios,
-                                              Automaton ReferenceFA) const {
-  SessionOptions SessionOpts;
-  SessionOpts.ResourceBudget = Options.ResourceBudget;
-  SessionOpts.KeepGoing = Options.KeepGoing;
-  return Session::build(std::move(Scenarios), std::move(ReferenceFA),
-                        SessionOpts);
-}

@@ -38,13 +38,6 @@ struct Specification {
 struct MinerOptions {
   ExtractorOptions Extract;
   SkStringsOptions Learn;
-  /// Resource limits for lattice construction in debugSessionBudgeted
-  /// (default: unlimited).
-  Budget ResourceBudget;
-  /// Passed through to SessionOptions::KeepGoing: degrade to a
-  /// top/bottom-only lattice instead of failing when the context exceeds
-  /// ResourceBudget.MaxContextCells.
-  bool KeepGoing = false;
 };
 
 /// Result of a full mining run.
@@ -74,15 +67,9 @@ public:
   MiningResult mine(const TraceSet &Runs, std::string Name) const;
 
   /// Opens a Cable debugging session over \p Scenarios clustered against
-  /// \p ReferenceFA (§2.2: debugging a mined specification).
+  /// \p ReferenceFA (§2.2: debugging a mined specification). A budgeted
+  /// session is built with Session::build directly.
   Session debugSession(TraceSet Scenarios, Automaton ReferenceFA) const;
-
-  /// As debugSession, but honors Options.ResourceBudget / KeepGoing and
-  /// reports recoverable errors (epsilon FA, oversized context) as a
-  /// failed Status. A truncated-but-usable session is a success; check
-  /// Session::truncated().
-  StatusOr<Session> debugSessionBudgeted(TraceSet Scenarios,
-                                         Automaton ReferenceFA) const;
 
   const MinerOptions &options() const { return Options; }
 

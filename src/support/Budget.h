@@ -1,4 +1,4 @@
-//===- support/Budget.h - Resource budgets and cancellation -----*- C++ -*-===//
+//===- support/Budget.h - Resource budgets ----------------------*- C++ -*-===//
 //
 // Part of the Cable reproduction of "Debugging Temporal Specifications with
 // Concept Analysis" (PLDI 2003). MIT license.
@@ -7,12 +7,11 @@
 ///
 /// \file
 /// Resource budgets for the lattice pipeline. Concept lattices are
-/// worst-case exponential in the context, so every batch entry point
-/// accepts a Budget: a wall-clock deadline, a cap on enumerated concepts,
-/// and a cap on context cells (objects × attributes). A BudgetMeter stamps
-/// the deadline at construction and is shared by reference across one
-/// operation; expiry and external cancellation are sticky and
-/// thread-safe, so another thread may cancel a running build.
+/// worst-case exponential in the context, so the budgeted build accepts a
+/// Budget: a wall-clock deadline and a cap on enumerated concepts (the
+/// tools' --time-budget and --max-concepts). A BudgetMeter stamps the
+/// deadline at construction and is shared by reference across one
+/// operation; expiry is sticky.
 ///
 /// Checkpoint granularity is one closure computation (one concept), which
 /// dwarfs the cost of an atomic load plus an occasional clock sample.
@@ -39,33 +38,27 @@ struct Budget {
   std::optional<std::chrono::milliseconds> TimeLimit;
   /// Maximum number of concepts a builder may enumerate.
   std::optional<size_t> MaxConcepts;
-  /// Maximum context size in cells (objects × attributes).
-  std::optional<size_t> MaxContextCells;
 
-  bool unlimited() const {
-    return !TimeLimit && !MaxConcepts && !MaxContextCells;
-  }
+  bool unlimited() const { return !TimeLimit && !MaxConcepts; }
 };
 
 /// Runtime companion of a Budget: stamps the deadline when constructed and
-/// answers "should we stop?" cheaply from many threads. Sticky: once
-/// expired or cancelled it stays that way.
+/// answers "should we stop?" cheaply. Sticky: once expired it stays that
+/// way.
 class BudgetMeter {
 public:
   explicit BudgetMeter(const Budget &B)
-      : Limits(B),
-        Start(std::chrono::steady_clock::now()),
-        Deadline(B.TimeLimit ? std::optional(Start + *B.TimeLimit)
-                             : std::nullopt) {}
+      : Limits(B), Start(std::chrono::steady_clock::now()),
+        Deadline(deadlineAfter(Start, B.TimeLimit)) {}
 
   BudgetMeter(const BudgetMeter &) = delete;
   BudgetMeter &operator=(const BudgetMeter &) = delete;
 
   const Budget &budget() const { return Limits; }
 
-  /// True once the deadline passed or cancel() was called. The first
-  /// caller to observe an expired clock latches the flag, so all
-  /// subsequent calls are a single relaxed atomic load.
+  /// True once the deadline passed. The first caller to observe an expired
+  /// clock latches the flag, so all subsequent calls are a single relaxed
+  /// atomic load.
   bool expired() const {
     if (Stopped.load(std::memory_order_relaxed))
       return true;
@@ -79,29 +72,14 @@ public:
     return false;
   }
 
-  /// Requests cooperative cancellation from outside the operation.
-  void cancel() {
-    Cancelled.store(true, std::memory_order_relaxed);
-    if (!Stopped.exchange(true, std::memory_order_relaxed))
-      Metrics::counter("budget.cancels").add();
-  }
-
-  bool wasCancelled() const {
-    return Cancelled.load(std::memory_order_relaxed);
-  }
-
   /// Elapsed wall-clock time since construction.
   std::chrono::milliseconds elapsed() const {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - Start);
   }
 
-  /// The status describing why a budgeted operation stopped early:
-  /// Cancelled if cancel() was called, ResourceExhausted otherwise.
+  /// The status describing a budgeted operation stopped by the deadline.
   Status stopStatus(const char *What) const {
-    if (wasCancelled())
-      return Status::error(ErrorCode::Cancelled,
-                           std::string(What) + " cancelled");
     return Status::error(ErrorCode::ResourceExhausted,
                          std::string(What) + " exceeded the time budget (" +
                              std::to_string(elapsed().count()) +
@@ -109,11 +87,28 @@ public:
   }
 
 private:
+  using TimePoint = std::chrono::steady_clock::time_point;
+
+  /// \p Start + \p Limit, or no deadline when that instant lies beyond
+  /// what the clock can represent (a limit of centuries never expires).
+  static std::optional<TimePoint>
+  deadlineAfter(TimePoint Start,
+                std::optional<std::chrono::milliseconds> Limit) {
+    if (!Limit)
+      return std::nullopt;
+    // Compared in milliseconds: converting Limit to the clock's finer
+    // period is exactly the overflow this guards against.
+    auto Room = std::chrono::duration_cast<std::chrono::milliseconds>(
+        TimePoint::max() - Start);
+    if (*Limit >= Room)
+      return std::nullopt;
+    return Start + *Limit;
+  }
+
   const Budget Limits;
-  const std::chrono::steady_clock::time_point Start;
-  const std::optional<std::chrono::steady_clock::time_point> Deadline;
+  const TimePoint Start;
+  const std::optional<TimePoint> Deadline;
   mutable std::atomic<bool> Stopped{false};
-  std::atomic<bool> Cancelled{false};
 };
 
 } // namespace cable

@@ -21,8 +21,6 @@ const char *cable::errorCodeName(ErrorCode Code) {
     return "not-found";
   case ErrorCode::ResourceExhausted:
     return "resource-exhausted";
-  case ErrorCode::Cancelled:
-    return "cancelled";
   case ErrorCode::IoError:
     return "io-error";
   case ErrorCode::Internal:

@@ -34,10 +34,8 @@ enum class ErrorCode : uint8_t {
   ParseError,
   /// A named entity does not exist (unknown protocol, unknown label).
   NotFound,
-  /// A budget limit was hit (deadline, max concepts, max context cells).
+  /// A budget limit was hit (deadline, max concepts) or memory ran out.
   ResourceExhausted,
-  /// The operation was cancelled from outside before it completed.
-  Cancelled,
   /// A file could not be read or written.
   IoError,
   /// An internal invariant failed; indicates a bug in Cable itself.

@@ -9,8 +9,8 @@
 /// Status / StatusOr<T>: the recoverable-error counterpart to Error.h's
 /// fatal machinery. A Status is either ok or carries one Diagnostic; a
 /// StatusOr<T> is a Status plus, when ok, a value. The library still never
-/// throws — budget exhaustion, malformed user input, and cancellation flow
-/// back to callers through these types, while genuine invariant violations
+/// throws — budget exhaustion and malformed user input flow back to
+/// callers through these types, while genuine invariant violations
 /// keep using CABLE_UNREACHABLE.
 ///
 //===----------------------------------------------------------------------===//

@@ -75,7 +75,7 @@ std::optional<int> Tool::parse(std::initializer_list<ToolFlag> Own) {
       {"--no-cache", &NoCache},
       {"--time-budget", &TimeBudget},
       {"--max-concepts", &MaxConcepts},
-      {"--keep-going", &Build.KeepGoing},
+      {"--keep-going", &KeepGoing},
       {"--stats", &PrintStats},
       {"--metrics-out", &MetricsOut},
       {"--trace-out", &TraceOut},
@@ -149,8 +149,18 @@ std::optional<int> Tool::parse(std::initializer_list<ToolFlag> Own) {
     }
     Log::setLevel(L);
   }
-  if (TimeBudget)
+  if (TimeBudget) {
+    // A larger count would wrap to a negative duration.
+    long long Max = std::chrono::milliseconds::max().count();
+    if (*TimeBudget > static_cast<unsigned long long>(Max)) {
+      std::fprintf(stderr,
+                   "error: --time-budget expects a number, got '%lu' (at "
+                   "most %lld)\n",
+                   *TimeBudget, Max);
+      return 1;
+    }
     Build.ResourceBudget.TimeLimit = std::chrono::milliseconds(*TimeBudget);
+  }
   if (MaxConcepts)
     Build.ResourceBudget.MaxConcepts = *MaxConcepts;
   if (NoCache)
@@ -192,7 +202,7 @@ std::optional<int> Tool::truncatedBy(const Status &Why, const char *Stage,
                                      const char *KeepGoingDoes) {
   Truncated = true;
   Diagnostic D = Why.diagnostic();
-  if (!Build.KeepGoing) {
+  if (!KeepGoing) {
     std::fprintf(stderr, "%s\n", D.render().c_str());
     std::fprintf(stderr,
                  "error: %s was truncated; rerun with --keep-going to %s\n",

@@ -72,7 +72,7 @@ public:
   /// quarantined artifact means disk corruption or a foreign file).
   static void warnCacheDiagnostics(const Session &S);
 
-  SessionOptions Build; ///< Cache, budgets and --keep-going.
+  SessionOptions Build; ///< Cache and budgets.
   /// The run report's clean_exit; unset means "exit code 0" (spec-lint's
   /// exit 1 also means "violations found").
   std::optional<bool> CleanExit;
@@ -85,6 +85,7 @@ private:
   std::string Usage;
   std::vector<std::string> Args; ///< argv[1..] as invoked.
   bool Truncated = false;
+  bool KeepGoing = false; ///< --keep-going, read by truncatedBy.
   std::string TraceOut, MetricsOut, RunReportOut, LogOut;
   bool PrintStats = false;
 };

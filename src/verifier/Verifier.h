@@ -37,8 +37,8 @@ struct VerificationResult {
   TraceSet Accepted;
   /// Scenarios examined (< the total when Truncated).
   size_t NumScenarios = 0;
-  /// True when a budget expired or cancel() fired before every scenario
-  /// was checked; Violations/Accepted then cover a prefix only.
+  /// True when the budget's deadline passed before every scenario was
+  /// checked; Violations/Accepted then cover a prefix only.
   bool Truncated = false;
   /// Ok, or the diagnostic explaining the truncation.
   Status CheckStatus;
@@ -55,8 +55,7 @@ VerificationResult verifyScenarios(const TraceSet &Scenarios,
                                    const Automaton &Spec);
 
 /// Budgeted variants: check \p Meter between scenarios and stop early —
-/// with Truncated set and a prefix of the results — when it expires or is
-/// cancelled.
+/// with Truncated set and a prefix of the results — when it expires.
 VerificationResult verifyAgainstRuns(const TraceSet &Runs,
                                      const Automaton &Spec,
                                      const ExtractorOptions &Extract,

@@ -372,30 +372,6 @@ TEST(SessionTest, ConceptCapTruncatesButKeepsBaselineClasses) {
   EXPECT_LE(Built->lattice().size(), 4u);
 }
 
-TEST(SessionTest, ContextCellCapFailsUnlessKeepGoing) {
-  SessionOptions Tight;
-  Tight.ResourceBudget.MaxContextCells = 1;
-  {
-    TraceSet Traces = parseTraces("a(v0) b(v0)\nc(v0)\n");
-    Automaton RefFA = makeUnorderedFA(templateAlphabet(Traces.traces()),
-                                      Traces.table());
-    StatusOr<Session> Built =
-        Session::build(std::move(Traces), std::move(RefFA), Tight);
-    ASSERT_FALSE(Built.isOk());
-    EXPECT_EQ(Built.status().code(), ErrorCode::ResourceExhausted);
-  }
-  {
-    Tight.KeepGoing = true;
-    TraceSet Traces = parseTraces("a(v0) b(v0)\nc(v0)\n");
-    Automaton RefFA = makeUnorderedFA(templateAlphabet(Traces.traces()),
-                                      Traces.table());
-    StatusOr<Session> Built =
-        Session::build(std::move(Traces), std::move(RefFA), Tight);
-    ASSERT_TRUE(Built.isOk()) << Built.status().render();
-    EXPECT_EQ(Built->baselineClasses().numClasses(), 2u);
-  }
-}
-
 TEST(SessionTest, UnlimitedBuildMatchesLegacyConstructor) {
   Session Legacy = makeStdioSession();
   TraceSet Traces = parseTraces("popen(v0) fread(v0) pclose(v0)\n"

@@ -5,11 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Budget-exhaustion suite for every lattice builder. The adversarial
-// input is the contranominal context of dimension N (object i related to
-// every attribute but i), whose lattice is the full powerset: 2^N
-// concepts. At N=24 that is ~16.7M concepts — unbuildable within a 100 ms
-// deadline — so every builder must stop cooperatively, flag the result
+// Budget-exhaustion suite for the budgeted NextClosure build. The
+// adversarial input is the contranominal context of dimension N (object i
+// related to every attribute but i), whose lattice is the full powerset:
+// 2^N concepts. At N=24 that is ~16.7M concepts — unbuildable within a
+// 100 ms deadline — so the build must stop cooperatively, flag the result
 // Truncated, and still hand back a well-formed sub-lattice (top, bottom,
 // consistent covers) within a small multiple of the deadline.
 //
@@ -23,7 +23,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "concepts/BuildResult.h"
-#include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 
 #include "support/Failpoint.h"
@@ -34,7 +33,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <thread>
 
 using namespace cable;
 
@@ -91,12 +89,13 @@ void expectWellFormed(const ConceptLattice &L, const Context &Ctx) {
   AllAttrs.setAll();
   const Concept &Bottom = L.node(L.bottom());
   EXPECT_EQ(Bottom.Extent.toIndices(), Ctx.tau(AllAttrs).toIndices());
-  // Every intent is exact (Godin's truncated snapshots are sub-context
-  // concepts, so extents need not be tau-closed over the full context),
-  // and every cover edge is a strict superset relation on extents.
+  // Every node is a concept of the full context (a truncated build keeps
+  // a lectic prefix of them), and every cover edge is a strict superset
+  // relation on extents.
   for (ConceptLattice::NodeId Id = 0; Id < L.size(); ++Id) {
     const Concept &C = L.node(Id);
     EXPECT_EQ(Ctx.sigma(C.Extent).toIndices(), C.Intent.toIndices());
+    EXPECT_EQ(Ctx.tau(C.Intent).toIndices(), C.Extent.toIndices());
     for (ConceptLattice::NodeId Child : L.children(Id)) {
       EXPECT_TRUE(L.node(Child).Extent.isSubsetOf(C.Extent));
       EXPECT_LT(L.node(Child).Extent.count(), C.Extent.count());
@@ -127,10 +126,6 @@ std::vector<NamedBuilder> allBudgetedBuilders() {
       {"NextClosure",
        [](const Context &Ctx, const BudgetMeter &M) {
          return NextClosureBuilder::buildLatticeBudgeted(Ctx, M);
-       }},
-      {"Godin",
-       [](const Context &Ctx, const BudgetMeter &M) {
-         return GodinBuilder::buildLatticeBudgeted(Ctx, M);
        }},
   };
 }
@@ -218,37 +213,6 @@ TEST(BudgetBuilderTest, UnlimitedBudgetMatchesUnbudgetedBuild) {
     EXPECT_FALSE(R.Truncated);
     EXPECT_TRUE(R.BuildStatus.isOk());
     expectIdentical(Full, R.Lattice);
-  }
-}
-
-TEST(BudgetBuilderTest, ExternalCancelStopsTheBuild) {
-  Context Ctx = contranominal(24);
-  Budget Unlimited; // Only cancel() can stop this one.
-  BudgetMeter Meter(Unlimited);
-  std::thread Canceller([&Meter] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    Meter.cancel();
-  });
-  LatticeBuildResult R = NextClosureBuilder::buildLatticeBudgeted(Ctx, Meter);
-  Canceller.join();
-  EXPECT_TRUE(R.Truncated);
-  EXPECT_EQ(R.BuildStatus.code(), ErrorCode::Cancelled);
-  expectWellFormed(R.Lattice, Ctx);
-}
-
-TEST(BudgetBuilderTest, ContextCellCapShortCircuits) {
-  Context Ctx = contranominal(24); // 576 cells.
-  for (const NamedBuilder &B : allBudgetedBuilders()) {
-    SCOPED_TRACE(B.Name);
-    Budget Limits;
-    Limits.MaxContextCells = 100;
-    BudgetMeter Meter(Limits);
-    LatticeBuildResult R = B.Run(Ctx, Meter);
-    EXPECT_TRUE(R.Truncated);
-    EXPECT_EQ(R.BuildStatus.code(), ErrorCode::ResourceExhausted);
-    // Degenerate but usable: top and bottom only.
-    expectWellFormed(R.Lattice, Ctx);
-    EXPECT_LE(R.Lattice.size(), 2u);
   }
 }
 

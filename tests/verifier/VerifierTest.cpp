@@ -102,13 +102,3 @@ TEST(VerifierTest, BudgetTruncationChecksOnlyAPrefix) {
   EXPECT_TRUE(Full.CheckStatus.isOk());
   EXPECT_EQ(Full.NumScenarios, 4u);
 }
-
-TEST(VerifierTest, CancelledMeterReportsCancelled) {
-  TraceSet Scenarios = parseTraces("a(v0)\n");
-  Automaton Spec = compileFA("a(v0)", Scenarios.table());
-  BudgetMeter Meter{Budget{}};
-  Meter.cancel();
-  VerificationResult R = verifyScenarios(Scenarios, Spec, Meter);
-  EXPECT_TRUE(R.Truncated);
-  EXPECT_EQ(R.CheckStatus.code(), ErrorCode::Cancelled);
-}
