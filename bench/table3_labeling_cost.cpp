@@ -28,6 +28,8 @@
 
 #include "BenchCommon.h"
 
+#include "support/Metrics.h"
+
 #include <cstdio>
 
 using namespace cable;
@@ -51,27 +53,57 @@ int main() {
   for (SpecEvaluation &E : evaluateAllProtocols()) {
     Session &S = *E.S;
 
-    BaselineMethod Baseline;
-    size_t BaselineCost = Baseline.run(S, E.Target).total();
+    // One timing section per strategy family (one sample per protocol);
+    // the Optimal search's inserted states are counters.
+    size_t BaselineCost = 0;
+    {
+      BenchTimer Timer(Report, "baseline");
+      BaselineMethod Baseline;
+      BaselineCost = Baseline.run(S, E.Target).total();
+    }
 
-    ExpertSimStrategy Expert;
-    StrategyCost ExpertCost = Expert.run(S, E.Target);
+    StrategyCost ExpertCost;
+    {
+      BenchTimer Timer(Report, "expert");
+      ExpertSimStrategy Expert;
+      ExpertCost = Expert.run(S, E.Target);
+    }
 
     // The paper reports the lowest cost over Top-down's and Bottom-up's
     // nondeterministic orderings; sample 64 randomized orders each.
-    LowestSummary TDCost = measureLowestCost(
-        S, E.Target, 64, 0x7D, [](RNG Rand) -> std::unique_ptr<Strategy> {
-          return std::make_unique<TopDownStrategy>(Rand);
-        });
-    LowestSummary BUCost = measureLowestCost(
-        S, E.Target, 64, 0xB0, [](RNG Rand) -> std::unique_ptr<Strategy> {
-          return std::make_unique<BottomUpStrategy>(Rand);
-        });
+    LowestSummary TDCost, BUCost;
+    {
+      BenchTimer Timer(Report, "top-down");
+      TDCost = measureLowestCost(
+          S, E.Target, 64, 0x7D, [](RNG Rand) -> std::unique_ptr<Strategy> {
+            return std::make_unique<TopDownStrategy>(Rand);
+          });
+    }
+    {
+      BenchTimer Timer(Report, "bottom-up");
+      BUCost = measureLowestCost(
+          S, E.Target, 64, 0xB0, [](RNG Rand) -> std::unique_ptr<Strategy> {
+            return std::make_unique<BottomUpStrategy>(Rand);
+          });
+    }
 
-    RandomSummary Random = measureRandomMean(S, E.Target, 1024, 0xCAB1E);
+    RandomSummary Random;
+    {
+      BenchTimer Timer(Report, "random");
+      Random = measureRandomMean(S, E.Target, 1024, 0xCAB1E);
+    }
 
-    OptimalStrategy Optimal(/*StateCap=*/250'000);
-    StrategyCost OptCost = Optimal.run(S, E.Target);
+    StrategyCost OptCost;
+    const char *States = "strategy.optimal-states-inserted";
+    uint64_t StatesBefore = Metrics::counterValue(States);
+    {
+      BenchTimer Timer(Report, "optimal");
+      OptimalStrategy Optimal(/*StateCap=*/250'000);
+      OptCost = Optimal.run(S, E.Target);
+    }
+    Report.counter(
+        "optimal_states." + E.Model.Name,
+        static_cast<double>(Metrics::counterValue(States) - StatesBefore));
 
     auto Fmt = [](const StrategyCost &C) {
       return C.Finished ? cell(C.total()) : std::string("-");

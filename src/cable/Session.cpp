@@ -148,7 +148,7 @@ void Session::init(const SessionOptions &Options) {
     Truncated = false;
     BuildSt = Status::ok();
     Metrics::counter("session.builds").add();
-    Labels.assign(Classes.numClasses(), std::nullopt);
+    resetLabelState();
     return;
   }
 
@@ -200,7 +200,7 @@ void Session::init(const SessionOptions &Options) {
     }
   }
 
-  Labels.assign(Classes.numClasses(), std::nullopt);
+  resetLabelState();
 }
 
 BitVector Session::ownObjects(NodeId Id) const {
@@ -214,6 +214,7 @@ LabelId Session::internLabel(std::string_view Name) {
   if (std::optional<LabelId> Id = findLabel(Name))
     return *Id;
   LabelNames.emplace_back(Name);
+  PerLabel.emplace_back(numObjects());
   return static_cast<LabelId>(LabelNames.size() - 1);
 }
 
@@ -224,46 +225,72 @@ std::optional<LabelId> Session::findLabel(std::string_view Name) const {
   return std::nullopt;
 }
 
+void Session::assign(size_t Obj, std::optional<LabelId> L) {
+  std::optional<LabelId> &Cur = Labels[Obj];
+  if (Cur == L)
+    return;
+  if (Cur) {
+    PerLabel[*Cur].reset(Obj);
+  } else {
+    Labeled.set(Obj);
+    ++NumLabeled;
+  }
+  if (L) {
+    PerLabel[*L].set(Obj);
+  } else {
+    Labeled.reset(Obj);
+    --NumLabeled;
+  }
+  Cur = L;
+}
+
+void Session::resetLabelState() {
+  size_t N = Classes.numClasses();
+  Labels.assign(N, std::nullopt);
+  Labeled = BitVector(N);
+  NumLabeled = 0;
+  PerLabel.assign(LabelNames.size(), BitVector(N));
+}
+
 void Session::clearLabels() {
-  Labels.assign(Classes.numClasses(), std::nullopt);
+  // assign() clears only bit Obj, behind the scan position.
+  for (size_t Obj = Labeled.findFirst(); Obj != BitVector::npos;
+       Obj = Labeled.findNext(Obj))
+    assign(Obj, std::nullopt);
   UndoStack.clear();
 }
 
 BitVector Session::selectObjects(NodeId Id, TraceSelect Select,
                                  std::optional<LabelId> From) const {
   const BitVector &Extent = Lattice.node(Id).Extent;
-  BitVector Out(Extent.size());
-  for (size_t Obj : Extent) {
-    switch (Select) {
-    case TraceSelect::All:
-      Out.set(Obj);
-      break;
-    case TraceSelect::Unlabeled:
-      if (!Labels[Obj])
-        Out.set(Obj);
-      break;
-    case TraceSelect::WithLabel:
-      if (From && Labels[Obj] == *From)
-        Out.set(Obj);
-      break;
-    }
+  switch (Select) {
+  case TraceSelect::All:
+    return Extent;
+  case TraceSelect::Unlabeled: {
+    BitVector Out = Extent;
+    Out.andNot(Labeled);
+    return Out;
   }
-  return Out;
+  case TraceSelect::WithLabel:
+    if (From && *From < PerLabel.size())
+      return Extent & PerLabel[*From];
+    return BitVector(Extent.size());
+  }
+  return BitVector(Extent.size());
 }
 
 size_t Session::labelTraces(NodeId Id, TraceSelect Select, LabelId NewLabel,
                             std::optional<LabelId> From) {
   assert(NewLabel < LabelNames.size() && "label not interned");
   BitVector Targets = selectObjects(Id, Select, From);
+  Targets.andNot(PerLabel[NewLabel]);
   UndoRecord Record;
-  size_t Changed = 0;
+  Record.reserve(Targets.count());
   for (size_t Obj : Targets) {
-    if (!Labels[Obj] || *Labels[Obj] != NewLabel) {
-      Record.emplace_back(Obj, Labels[Obj]);
-      Labels[Obj] = NewLabel;
-      ++Changed;
-    }
+    Record.emplace_back(Obj, Labels[Obj]);
+    assign(Obj, NewLabel);
   }
+  size_t Changed = Record.size();
   UndoStack.push_back(std::move(Record));
   return Changed;
 }
@@ -271,55 +298,37 @@ size_t Session::labelTraces(NodeId Id, TraceSelect Select, LabelId NewLabel,
 void Session::setLabel(size_t Obj, LabelId L) {
   assert(Obj < Labels.size() && L < LabelNames.size() && "bad label/object");
   UndoStack.push_back({{Obj, Labels[Obj]}});
-  Labels[Obj] = L;
+  assign(Obj, L);
 }
 
 bool Session::undo() {
   if (UndoStack.empty())
     return false;
-  for (const auto &[Obj, Prior] : UndoStack.back())
-    Labels[Obj] = Prior;
+  // Last change first: an operation that changed one object twice (a
+  // labels file naming a trace twice) restores its original label.
+  const UndoRecord &Record = UndoStack.back();
+  for (auto It = Record.rbegin(); It != Record.rend(); ++It)
+    assign(It->first, It->second);
   UndoStack.pop_back();
   return true;
 }
 
 ConceptState Session::stateOf(NodeId Id) const {
   const BitVector &Extent = Lattice.node(Id).Extent;
-  bool AnyLabeled = false, AnyUnlabeled = false;
-  for (size_t Obj : Extent) {
-    if (Labels[Obj])
-      AnyLabeled = true;
-    else
-      AnyUnlabeled = true;
-    if (AnyLabeled && AnyUnlabeled)
-      return ConceptState::PartlyLabeled;
-  }
-  if (AnyUnlabeled)
-    return ConceptState::Unlabeled;
-  return ConceptState::FullyLabeled; // Includes the empty concept.
-}
-
-bool Session::allLabeled() const {
-  for (const std::optional<LabelId> &L : Labels)
-    if (!L)
-      return false;
-  return true;
+  if (Extent.isSubsetOf(Labeled))
+    return ConceptState::FullyLabeled; // Includes the empty concept.
+  return Extent.intersects(Labeled) ? ConceptState::PartlyLabeled
+                                    : ConceptState::Unlabeled;
 }
 
 BitVector Session::unlabeledObjects() const {
-  BitVector Out(Labels.size());
-  for (size_t Obj = 0; Obj < Labels.size(); ++Obj)
-    if (!Labels[Obj])
-      Out.set(Obj);
+  BitVector Out = Labeled;
+  Out.flipAll();
   return Out;
 }
 
 BitVector Session::objectsWithLabel(LabelId L) const {
-  BitVector Out(Labels.size());
-  for (size_t Obj = 0; Obj < Labels.size(); ++Obj)
-    if (Labels[Obj] && *Labels[Obj] == L)
-      Out.set(Obj);
-  return Out;
+  return L < PerLabel.size() ? PerLabel[L] : BitVector(numObjects());
 }
 
 Automaton Session::showFA(NodeId Id, TraceSelect Select,
@@ -370,7 +379,7 @@ void Session::mergeBack(const FocusSession &F) {
     LabelId Here = internLabel(F.Sub.labelName(*L));
     size_t Obj = F.ParentObjects[SubObj];
     Record.emplace_back(Obj, Labels[Obj]);
-    Labels[Obj] = Here;
+    assign(Obj, Here);
   }
   UndoStack.push_back(std::move(Record));
 }
@@ -395,9 +404,11 @@ bool Session::loadLabels(std::string_view Text, std::string &ErrorMsg,
   for (size_t Obj = 0; Obj < numObjects(); ++Obj)
     ByText.emplace(Classes.Representatives[Obj].render(table()), Obj);
 
+  // Parse everything first: a malformed line leaves the session
+  // unchanged, label names included.
   size_t Unmatched = 0;
   size_t LineNo = 0;
-  UndoRecord Record;
+  std::vector<std::pair<size_t, std::string>> Assignments;
   for (const std::string &Line : splitString(Text, '\n')) {
     ++LineNo;
     std::string_view Body = trimString(Line);
@@ -407,20 +418,21 @@ bool Session::loadLabels(std::string_view Text, std::string &ErrorMsg,
     if (Space == std::string_view::npos) {
       ErrorMsg = "line " + std::to_string(LineNo) +
                  ": expected '<label> <trace>'";
-      // Leave the session unchanged on parse errors.
-      for (const auto &[Obj, Prior] : Record)
-        Labels[Obj] = Prior;
       return false;
     }
-    std::string LabelName(Body.substr(0, Space));
     std::string TraceText(trimString(Body.substr(Space + 1)));
     auto It = ByText.find(TraceText);
     if (It == ByText.end()) {
       ++Unmatched;
       continue;
     }
-    Record.emplace_back(It->second, Labels[It->second]);
-    Labels[It->second] = internLabel(LabelName);
+    Assignments.emplace_back(It->second, std::string(Body.substr(0, Space)));
+  }
+
+  UndoRecord Record;
+  for (const auto &[Obj, LabelName] : Assignments) {
+    Record.emplace_back(Obj, Labels[Obj]);
+    assign(Obj, internLabel(LabelName));
   }
   UndoStack.push_back(std::move(Record));
   if (NumUnmatched)
@@ -554,7 +566,9 @@ Status Session::loadSnapshot(std::string_view Body) {
                              " — truncated snapshot");
 
   LabelNames = std::move(NewNames);
-  Labels = std::move(NewLabels);
+  resetLabelState();
+  for (size_t Obj = 0; Obj < NewLabels.size(); ++Obj)
+    assign(Obj, NewLabels[Obj]);
   UndoStack = std::move(NewUndo);
   return Status::ok();
 }

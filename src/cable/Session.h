@@ -23,6 +23,11 @@
 ///  `Label traces` command's selection semantics and the three summary
 ///  views (Show FA, Show transitions, Show traces) plus Focus sub-sessions.
 ///
+///  Label state is kept twice: per object (labelOf) and as bitsets — the
+///  labeled objects and one set per label — so concept states and trace
+///  selections are word operations on the extent rather than walks over
+///  it. One private setter keeps the two forms in step.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CABLE_CABLE_SESSION_H
@@ -201,7 +206,7 @@ public:
   ConceptState stateOf(NodeId Id) const;
 
   /// True once every object has a label.
-  bool allLabeled() const;
+  bool allLabeled() const { return NumLabeled == Labels.size(); }
 
   /// Objects of \p Id selected by \p Select (+ \p From for WithLabel).
   BitVector selectObjects(NodeId Id, TraceSelect Select,
@@ -209,6 +214,10 @@ public:
 
   /// Objects with no label, in the whole session.
   BitVector unlabeledObjects() const;
+
+  /// Objects with a label, in the whole session (the complement of
+  /// unlabeledObjects(), without the copy).
+  const BitVector &labeledObjects() const { return Labeled; }
 
   /// Objects currently carrying \p L, in the whole session.
   BitVector objectsWithLabel(LabelId L) const;
@@ -283,6 +292,14 @@ private:
   /// Shared construction tail: context, cache lookup, lattice build.
   void init(const SessionOptions &Options);
 
+  /// Gives object \p Obj label \p L (none = unlabeled), keeping Labels,
+  /// Labeled, NumLabeled and PerLabel in step. Every label change goes
+  /// through here.
+  void assign(size_t Obj, std::optional<LabelId> L);
+
+  /// Every object unlabeled, one empty set per interned label.
+  void resetLabelState();
+
   TraceSet Traces;
   TraceClasses Classes;
   Automaton RefFA;
@@ -295,10 +312,15 @@ private:
   std::vector<Status> CacheDiags;
 
   std::vector<std::optional<LabelId>> Labels;
+  /// The same state as bitsets over objects: the labeled ones, their
+  /// count, and PerLabel[L] = the objects labeled L.
+  BitVector Labeled;
+  size_t NumLabeled = 0;
+  std::vector<BitVector> PerLabel;
   std::vector<std::string> LabelNames;
 
   /// Undo history: per operation, the objects it changed with their prior
-  /// labels.
+  /// labels, in the order it changed them.
   using UndoRecord = std::vector<std::pair<size_t, std::optional<LabelId>>>;
   std::vector<UndoRecord> UndoStack;
 };

@@ -103,7 +103,9 @@ private:
 };
 
 /// Uniform-cost search for a minimal operation sequence (§4.2). The search
-/// space is the set of labeled-object bitsets; StateCap bounds it.
+/// space is the set of labeled-object bitsets; StateCap bounds the states
+/// it inserts (the start state included), and a search that would insert
+/// one more reports unfinished.
 class OptimalStrategy : public Strategy {
 public:
   explicit OptimalStrategy(size_t StateCap = 2'000'000)

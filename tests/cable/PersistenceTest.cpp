@@ -164,3 +164,35 @@ TEST(PersistenceTest, SnapshotOfEmptySessionIsLoadable) {
   EXPECT_EQ(B.numLabels(), 0u);
   EXPECT_EQ(B.undoDepth(), 0u);
 }
+
+// -- Undo order when a labels file names a trace twice -----------------------
+
+TEST(PersistenceTest, UndoOfALoadNamingATraceTwiceRestoresTheOriginal) {
+  Session A = makeSession("x(v0)\ny(v0)\n");
+  A.setLabel(0, A.internLabel("good"));
+  std::string Name = A.object(0).render(A.table());
+  std::string Err;
+  ASSERT_TRUE(A.loadLabels("bad " + Name + "\nworse " + Name + "\n", Err))
+      << Err;
+  EXPECT_EQ(A.labelName(*A.labelOf(0)), "worse");
+  ASSERT_TRUE(A.undo());
+  EXPECT_EQ(A.labelName(*A.labelOf(0)), "good");
+  EXPECT_EQ(A.objectsWithLabel(*A.findLabel("good")).count(), 1u);
+  EXPECT_EQ(A.objectsWithLabel(*A.findLabel("bad")).count(), 0u);
+  EXPECT_EQ(A.objectsWithLabel(*A.findLabel("worse")).count(), 0u);
+}
+
+TEST(PersistenceTest, FailedLoadNamingATraceTwiceLeavesTheSessionUnchanged) {
+  Session A = makeSession("x(v0)\ny(v0)\n");
+  A.setLabel(0, A.internLabel("good"));
+  std::string Before = A.serializeSnapshot();
+  std::string Name = A.object(0).render(A.table());
+  std::string Err;
+  EXPECT_FALSE(A.loadLabels(
+      "bad " + Name + "\nworse " + Name + "\nmalformed\n", Err));
+  EXPECT_NE(Err.find("line 3"), std::string::npos) << Err;
+  EXPECT_EQ(A.labelName(*A.labelOf(0)), "good");
+  EXPECT_EQ(A.numLabels(), 1u) << "a failed load must intern no label";
+  EXPECT_EQ(A.undoDepth(), 1u);
+  EXPECT_EQ(A.serializeSnapshot(), Before);
+}

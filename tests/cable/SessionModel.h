@@ -98,6 +98,40 @@ inline void expectAgreement(const Session &S, const Model &M) {
   EXPECT_EQ(S.allLabeled(), Unlabeled == 0);
   EXPECT_EQ(S.undoDepth(), M.History.size());
 
+  // Label populations recomputed from the model; one id past the last
+  // label stands for an unknown label, which has no objects.
+  for (LabelId L = 0; L <= S.numLabels(); ++L) {
+    std::vector<size_t> Want;
+    for (size_t Obj = 0; Obj < S.numObjects(); ++Obj)
+      if (M.Labels[Obj] == std::optional<LabelId>(L))
+        Want.push_back(Obj);
+    EXPECT_EQ(S.objectsWithLabel(L).toIndices(), Want) << "label " << L;
+  }
+
+  // Selections in all three modes recomputed from the model.
+  for (ConceptLattice::NodeId Id = 0; Id < S.lattice().size(); ++Id) {
+    const BitVector &Extent = S.lattice().node(Id).Extent;
+    EXPECT_EQ(S.selectObjects(Id, TraceSelect::All).toIndices(),
+              Extent.toIndices());
+    std::vector<size_t> Unlabeled;
+    for (size_t Obj : Extent)
+      if (!M.Labels[Obj])
+        Unlabeled.push_back(Obj);
+    EXPECT_EQ(S.selectObjects(Id, TraceSelect::Unlabeled).toIndices(),
+              Unlabeled)
+        << "concept " << Id;
+    EXPECT_TRUE(S.selectObjects(Id, TraceSelect::WithLabel).none());
+    for (LabelId L = 0; L <= S.numLabels(); ++L) {
+      std::vector<size_t> With;
+      for (size_t Obj : Extent)
+        if (M.Labels[Obj] == std::optional<LabelId>(L))
+          With.push_back(Obj);
+      EXPECT_EQ(S.selectObjects(Id, TraceSelect::WithLabel, L).toIndices(),
+                With)
+          << "concept " << Id << ", label " << L;
+    }
+  }
+
   // Concept states recomputed from the model.
   for (ConceptLattice::NodeId Id = 0; Id < S.lattice().size(); ++Id) {
     bool AnyLabeled = false, AnyUnlabeled = false;

@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Model-based testing of the Session's labeling state machine: a random
-// sequence of label / setLabel / undo / mergeBack operations is applied
-// both to the Session and to a trivial reference model (a map from object
-// to label plus an explicit history). After every step the two must
-// agree, and the derived views (concept states, selections, label
-// populations) must match recomputation from the model.
+// sequence of label / setLabel / undo / mergeBack / loadLabels /
+// loadSnapshot / clearLabels operations is applied both to the Session and
+// to a trivial reference model (a map from object to label plus an
+// explicit history). After every step the two must agree, and the derived
+// views (concept states, selections, label populations) must match
+// recomputation from the model. The model is the oracle for the Session's
+// incremental label bitsets.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +33,11 @@ TEST_P(SessionModelTest, RandomOperationSequencesAgreeWithModel) {
   LabelId Good = S.internLabel("good");
   LabelId Bad = S.internLabel("bad");
   std::vector<LabelId> AllLabels{Good, Bad};
+  std::optional<std::string> Saved;
+  Model SavedModel(0);
 
   for (int Step = 0; Step < 60; ++Step) {
-    switch (Rand.nextBounded(5)) {
+    switch (Rand.nextBounded(8)) {
     case 0: { // labelTraces with a random selection mode.
       auto Id = static_cast<ConceptLattice::NodeId>(
           Rand.nextIndex(S.lattice().size()));
@@ -102,6 +106,54 @@ TEST_P(SessionModelTest, RandomOperationSequencesAgreeWithModel) {
       for (const auto &L : M.Labels)
         LabeledCount += L.has_value();
       EXPECT_EQ(Lines, LabeledCount);
+      break;
+    }
+    case 5: { // loadLabels: duplicate traces, unmatched and malformed lines.
+      const char *Names[] = {"good", "bad", "ugly"};
+      std::vector<std::pair<size_t, std::string>> Lines;
+      std::string Text;
+      bool Malformed = false;
+      size_t NumLines = 1 + Rand.nextIndex(4);
+      for (size_t I = 0; I < NumLines; ++I) {
+        size_t Obj = Rand.nextIndex(S.numObjects());
+        if (!Lines.empty() && Rand.nextBool(0.3))
+          Obj = Lines.back().first; // The same trace again.
+        std::string Name = Names[Rand.nextIndex(3)];
+        Lines.emplace_back(Obj, Name);
+        Text += Name + " " + S.object(Obj).render(S.table()) + "\n";
+        if (Rand.nextBool(0.2))
+          Text += "good zz\n"; // Names no trace of this session.
+        if (Rand.nextBool(0.1)) {
+          Text += "malformed\n";
+          Malformed = true;
+        }
+      }
+      size_t LabelsBefore = S.numLabels();
+      std::string Err;
+      EXPECT_EQ(S.loadLabels(Text, Err), !Malformed) << Err;
+      if (Malformed) {
+        EXPECT_EQ(S.numLabels(), LabelsBefore);
+        break;
+      }
+      M.snapshot();
+      for (const auto &[Obj, Name] : Lines)
+        M.Labels[Obj] = S.findLabel(Name);
+      break;
+    }
+    case 6: { // Snapshot now, or restore an earlier snapshot.
+      if (!Saved || Rand.nextBool(0.5)) {
+        Saved = S.serializeSnapshot();
+        SavedModel = M;
+        break;
+      }
+      ASSERT_TRUE(S.loadSnapshot(*Saved).isOk());
+      M = SavedModel;
+      break;
+    }
+    case 7: { // clearLabels drops labels and history.
+      S.clearLabels();
+      M.Labels.assign(M.Labels.size(), std::nullopt);
+      M.History.clear();
       break;
     }
     }

@@ -8,7 +8,9 @@
 #include "cable/Strategies.h"
 
 #include "../TestHelpers.h"
+#include "StrategiesReference.h"
 #include "fa/Templates.h"
+#include "support/Metrics.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
@@ -295,37 +297,36 @@ TEST(StrategiesTest, MeasureLowestCostUnfinishedOnIllFormed) {
   EXPECT_FALSE(Low.Finished);
 }
 
+TEST(StrategiesTest, LedgerTicksOncePerRun) {
+  SeparableFixture F;
+  bool WasEnabled = Metrics::enabled();
+  Metrics::setEnabled(true);
+  auto Value = [](const char *Name) { return Metrics::counterValue(Name); };
+  uint64_t Calls = Value("strategy.calls");
+  uint64_t Inspections = Value("strategy.inspections");
+  uint64_t LabelOps = Value("strategy.label-ops");
+  uint64_t States = Value("strategy.optimal-states-inserted");
+
+  StrategyCost TD = TopDownStrategy().run(*F.S, F.Target);
+  StrategyCost Opt = OptimalStrategy().run(*F.S, F.Target);
+  EXPECT_EQ(Value("strategy.calls") - Calls, 2u);
+  EXPECT_EQ(Value("strategy.inspections") - Inspections,
+            TD.Inspections + Opt.Inspections);
+  EXPECT_EQ(Value("strategy.label-ops") - LabelOps,
+            TD.LabelOps + Opt.LabelOps);
+  EXPECT_GT(Value("strategy.optimal-states-inserted"), States);
+  Metrics::setEnabled(WasEnabled);
+}
+
 /// Property: on random separable sessions every strategy agrees with the
 /// target labeling and optimal is minimal.
 class StrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StrategyPropertyTest, AllStrategiesAgreeOnSeparableSessions) {
   RNG Rand(GetParam());
-  // Separable by construction: "bad" traces contain the event `err`.
-  TraceSet Traces;
-  std::vector<std::string> Pool{"a", "b", "c"};
-  size_t N = 2 + Rand.nextIndex(7);
-  for (size_t I = 0; I < N; ++I) {
-    Trace T;
-    size_t Len = 1 + Rand.nextIndex(3);
-    for (size_t J = 0; J < Len; ++J)
-      T.append(Traces.table().internEvent(Pool[Rand.nextIndex(Pool.size())]));
-    if (Rand.nextBool(0.4))
-      T.append(Traces.table().internEvent("err"));
-    Traces.add(std::move(T));
-  }
-  Automaton Ref =
-      makeUnorderedFA(templateAlphabet(Traces.traces()), Traces.table());
-  Session S(std::move(Traces), std::move(Ref));
-  std::vector<std::string> Names;
-  for (size_t Obj = 0; Obj < S.numObjects(); ++Obj) {
-    bool Bad = false;
-    for (EventId E : S.object(Obj).events())
-      if (S.table().nameText(S.table().event(E).Name) == "err")
-        Bad = true;
-    Names.push_back(Bad ? "bad" : "good");
-  }
-  ReferenceLabeling Target = makeReferenceLabeling(S, Names);
+  cable::test::LabeledSession LS = cable::test::makeSeparableSession(Rand);
+  Session &S = *LS.S;
+  const ReferenceLabeling &Target = LS.Target;
   ASSERT_TRUE(checkWellFormed(S, Target).LatticeWellFormed);
 
   OptimalStrategy O;
