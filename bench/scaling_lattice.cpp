@@ -194,19 +194,22 @@ Context contranominal(size_t N) {
   return Ctx;
 }
 
-/// The §5.2 trace-workload context at the evaluation scale: XtFree-style
-/// traces against an unordered reference FA (~200 objects, FA-transition
-/// attributes) — the realistic shape behind the paper's figures.
-Context xtFreeScaleContext() {
+/// The §5.2 trace-workload context: \p Scenarios XtFree-style scenarios
+/// with a \p PoolWidth-event optional pool, deduplicated and related to
+/// the unordered reference FA (FA-transition attributes) — the realistic
+/// shape behind the paper's figures. At (10, 200) it is the evaluation
+/// scale (~200 objects); at (9, 1000) the wide_session shape (982
+/// objects, 16-word extents, thousands of concepts).
+Context xtFreeContext(size_t PoolWidth, size_t Scenarios) {
   ProtocolModel M = protocolByName("XtFree");
   std::vector<ProtoEvent> Uses;
-  for (size_t I = 0; I < 10; ++I)
+  for (size_t I = 0; I < PoolWidth; ++I)
     Uses.push_back(ProtoEvent{"Use" + std::to_string(I), {0}});
   M.Shapes[0].second.Steps[1] = ShapeStep::optional(Uses, 0.5);
   EventTable Table;
   WorkloadGenerator Gen(M, Table);
   RNG Rand(44);
-  TraceSet Unique = Gen.generateScenarios(Rand, 200).dedup();
+  TraceSet Unique = Gen.generateScenarios(Rand, Scenarios).dedup();
   Automaton Ref =
       makeUnorderedFA(templateAlphabet(Unique.traces()), Unique.table());
   Context Ctx(Unique.size(), Ref.numTransitions());
@@ -257,15 +260,15 @@ double closureThroughputProbe(cable::bench::BenchReport &Report,
   return Speedup;
 }
 
-/// Times cover computation over the concepts of the random k=6 sweep
-/// context at \p NumObjects objects, both serial: the pairwise coversAt
-/// scan (the oracle, and the cover algorithm of every complete build
-/// before neighbour counting) against computeCovers. Records sections
-/// covers-scan-<n> / covers-count-<n> and the counter cover_speedup_<n> =
-/// median(scan) / median(count) that tests/bench/cover_guard.sh gates on.
-void coverSpeedupProbe(cable::bench::BenchReport &Report, size_t NumObjects,
+/// Times cover computation over the concepts of \p Ctx, both serial: the
+/// pairwise coversAt scan (the oracle, and the cover algorithm of every
+/// complete build before neighbour counting) against computeCovers.
+/// Records sections covers-scan-<tag> / covers-count-<tag> and the counter
+/// cover_speedup_<tag> = median(scan) / median(count) that
+/// tests/bench/cover_guard.sh gates on.
+void coverSpeedupProbe(cable::bench::BenchReport &Report,
+                       const std::string &Tag, const Context &Ctx,
                        int Samples) {
-  Context Ctx = randomContext(NumObjects, /*K=*/6, /*PoolSize=*/24, 42);
   std::vector<Concept> Concepts;
   for (BitVector &Intent : NextClosureBuilder::allClosedIntents(Ctx)) {
     Concept C;
@@ -273,7 +276,6 @@ void coverSpeedupProbe(cable::bench::BenchReport &Report, size_t NumObjects,
     C.Intent = std::move(Intent);
     Concepts.push_back(std::move(C));
   }
-  std::string Tag = std::to_string(NumObjects);
   size_t ScanEdges = 0, CountEdges = 0;
   std::vector<double> ScanMs, CountMs;
   for (int S = 0; S < Samples; ++S) {
@@ -297,6 +299,8 @@ void coverSpeedupProbe(cable::bench::BenchReport &Report, size_t NumObjects,
   double ScanMed = median(ScanMs), CountMed = median(CountMs);
   Report.counter("cover_speedup_" + Tag,
                  CountMed > 0 ? ScanMed / CountMed : 0);
+  Report.counter("cover_objects_" + Tag,
+                 static_cast<double>(Ctx.numObjects()));
   Report.counter("cover_concepts_" + Tag,
                  static_cast<double>(Concepts.size()));
   Report.counter("cover_edges_agree_" + Tag, ScanEdges == CountEdges ? 1 : 0);
@@ -392,12 +396,17 @@ int main(int Argc, char **Argv) {
     Report.counter("concepts", static_cast<double>(Concepts));
   }
 
-  // Cover computation: neighbour counting against the pairwise scan, for
-  // the cover guard. Emitted in quick mode too.
+  // Cover computation: neighbour counting against the pairwise scan, on
+  // the random k=6 contexts (the cover guard's) and the wide_session
+  // shape. Emitted in quick mode too.
   {
     int Samples = cable::bench::BenchReport::quick() ? 3 : 7;
-    coverSpeedupProbe(Report, 512, Samples);
-    coverSpeedupProbe(Report, 2048, Samples);
+    for (size_t NumObjects : {512, 2048})
+      coverSpeedupProbe(Report, std::to_string(NumObjects),
+                        randomContext(NumObjects, /*K=*/6, /*PoolSize=*/24,
+                                      42),
+                        Samples);
+    coverSpeedupProbe(Report, "wide", xtFreeContext(9, 1000), Samples);
   }
 
   // Fused-AND and closure throughput probes for the kernel regression
@@ -412,7 +421,7 @@ int main(int Argc, char **Argv) {
     int Closures = Quick ? 4000 : 40000;
     closureThroughputProbe(Report, "contranominal24", contranominal(24),
                            Samples, Closures);
-    closureThroughputProbe(Report, "xtfree", xtFreeScaleContext(), Samples,
+    closureThroughputProbe(Report, "xtfree", xtFreeContext(10, 200), Samples,
                            Quick ? 400 : 4000);
   }
 

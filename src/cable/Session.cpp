@@ -30,6 +30,10 @@ namespace {
 /// enumeration order fixes the node ids of every artifact.
 constexpr const char *kLatticeBuilderId = "nextclosure";
 
+/// The relation ledger: one tick per relation R computed, never per trace.
+Metrics::Counter &RelationCalls = Metrics::counter("fa.relation-calls");
+Metrics::Counter &RelationObjects = Metrics::counter("fa.relation-objects");
+
 /// The budget half of the cache key. Only the deterministic cap
 /// participates: a MaxConcepts-truncated lattice is an exact lectic prefix,
 /// so the cap must distinguish artifacts; wall-clock deadlines make the
@@ -68,14 +72,20 @@ void Session::init(const SessionOptions &Options) {
 
   // Step 1b: one object per identical-trace class; one attribute per
   // reference-FA transition; R = executed-on-an-accepting-run.
-  Ctx = Context(Classes.numClasses(), RefFA.numTransitions());
-  for (size_t Obj = 0; Obj < Classes.numClasses(); ++Obj) {
-    BitVector Row =
-        RefFA.executedTransitions(Classes.Representatives[Obj], table());
-    if (Row.none() && !Classes.Representatives[Obj].empty())
-      Rejected.push_back(Obj);
-    for (size_t A : Row)
-      Ctx.relate(Obj, A);
+  {
+    TraceSpan RelationSpan("fa-relation",
+                           static_cast<int64_t>(Classes.numClasses()));
+    RelationCalls.add();
+    RelationObjects.add(Classes.numClasses());
+    Ctx = Context(Classes.numClasses(), RefFA.numTransitions());
+    for (size_t Obj = 0; Obj < Classes.numClasses(); ++Obj) {
+      BitVector Row =
+          RefFA.executedTransitions(Classes.Representatives[Obj], table());
+      if (Row.none() && !Classes.Representatives[Obj].empty())
+        Rejected.push_back(Obj);
+      for (size_t A : Row)
+        Ctx.relate(Obj, A);
+    }
   }
 
   // Content-addressed lattice cache. The key never mentions the kernel

@@ -190,20 +190,10 @@ BitVector Context::closeIntent(const BitVector &Attrs) const {
   return Out;
 }
 
-void Context::countIntentClosures(uint64_t N) {
-  NumTau.add(N);
-  NumSigma.add(N);
-}
-
 void Context::closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
                               BitVector &Out) const {
-  countIntentClosures(1);
-  closeIntentIntoUncounted(Attrs, ObjScratch, Out);
-}
-
-void Context::closeIntentIntoUncounted(const BitVector &Attrs,
-                                       BitVector &ObjScratch,
-                                       BitVector &Out) const {
+  NumTau.add();
+  NumSigma.add();
   // Contexts whose attributes fit one word (the paper's regime: attributes
   // are FA transitions) and whose objects fit eight run the whole closure
   // in registers; the switch picks a fully unrolled column stride.

@@ -20,8 +20,10 @@
 /// transposed attribute-major (column a at ColArena + a * ColStride) — so
 /// sigma and tau each reduce to one fused simd::andSelectInto walking
 /// contiguous cache lines, instead of striding through per-BitVector heap
-/// allocations. BitVector object rows are additionally mirrored for the
-/// objectRow()/attributeCol() API (GodinBuilder consumes rows directly).
+/// allocations. objectRowWords()/attributeColWords() expose the arena
+/// words (cover computation ANDs extents with columns there). BitVector
+/// object rows are additionally mirrored for the objectRow()/attributeCol()
+/// API (GodinBuilder consumes rows directly).
 ///
 /// The pre-arena derivation code is kept as sigmaReference/tauReference:
 /// it is the bit-for-bit oracle for the layout differential tests (which
@@ -63,6 +65,18 @@ public:
     return AttributeColsRef[Attr];
   }
 
+  /// The attribute set of one object as its words in the row arena,
+  /// ceil(numAttributes() / 64) of them.
+  const uint64_t *objectRowWords(size_t Obj) const {
+    return RowArena.data() + Obj * RowStride;
+  }
+
+  /// The object set of one attribute as its words in the column arena,
+  /// ceil(numObjects() / 64) of them.
+  const uint64_t *attributeColWords(size_t Attr) const {
+    return ColArena.data() + Attr * ColStride;
+  }
+
   /// sigma: attributes common to all objects in \p Objects.
   BitVector sigma(const BitVector &Objects) const;
 
@@ -87,17 +101,6 @@ public:
   /// per lectic candidate, so it must not touch the heap.
   void closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
                        BitVector &Out) const;
-
-  /// closeIntentInto that adds nothing to the context.tau-calls /
-  /// context.sigma-calls counters, for hot closure loops: with metrics
-  /// armed, a counter bumped per closure would make every closure an
-  /// atomic increment. Such a loop adds its closures once with
-  /// countIntentClosures.
-  void closeIntentIntoUncounted(const BitVector &Attrs,
-                                BitVector &ObjScratch, BitVector &Out) const;
-
-  /// Counts \p N intent closures as \p N closeIntentInto calls would.
-  static void countIntentClosures(uint64_t N);
 
   /// Allocation-free extent closure: \p AttrScratch sized numAttributes(),
   /// \p Out sized numObjects().

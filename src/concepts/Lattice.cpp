@@ -16,7 +16,6 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <numeric>
 #include <unordered_map>
 
 using namespace cable;
@@ -73,13 +72,20 @@ void ConceptLattice::locateTopAndBottom() {
 
 std::vector<ConceptLattice::NodeId>
 ConceptLattice::coverScanOrder(const std::vector<size_t> &Card) {
+  // A counting sort by cardinality, stable in id: the id tie-break makes
+  // the order a total one, so every cover computation sorts its lists the
+  // same way.
+  size_t MaxCard = 0;
+  for (size_t C : Card)
+    MaxCard = std::max(MaxCard, C);
+  std::vector<size_t> Start(MaxCard + 2, 0);
+  for (size_t C : Card)
+    ++Start[C + 1];
+  for (size_t C = 1; C < Start.size(); ++C)
+    Start[C] += Start[C - 1];
   std::vector<NodeId> Order(Card.size());
-  std::iota(Order.begin(), Order.end(), 0);
-  // The id tie-break makes the order a total one, so every cover
-  // computation sorts its lists the same way.
-  std::sort(Order.begin(), Order.end(), [&](NodeId A, NodeId B) {
-    return Card[A] != Card[B] ? Card[A] < Card[B] : A < B;
-  });
+  for (NodeId Id = 0; Id < Card.size(); ++Id)
+    Order[Start[Card[Id]]++] = Id;
   return Order;
 }
 

@@ -7,6 +7,9 @@
 
 #include "fa/Dfa.h"
 
+#include "support/Metrics.h"
+#include "support/TraceEvent.h"
+
 #include <algorithm>
 #include <cassert>
 #include <deque>
@@ -15,6 +18,16 @@
 #include <unordered_set>
 
 using namespace cable;
+
+namespace {
+
+/// The minimization ledger: one tick per minimized() call.
+Metrics::Counter &MinimizeCalls = Metrics::counter("fa.minimize-calls");
+Metrics::Counter &MinimizeStatesIn = Metrics::counter("fa.minimize-states-in");
+Metrics::Counter &MinimizeStatesOut =
+    Metrics::counter("fa.minimize-states-out");
+
+} // namespace
 
 std::vector<EventId> cable::collectAlphabet(const std::vector<Trace> &Traces) {
   std::vector<EventId> Alphabet;
@@ -123,19 +136,19 @@ Dfa Dfa::trimUnreachable() const {
 }
 
 Dfa Dfa::minimized() const {
+  TraceSpan Span("fa-minimize", static_cast<int64_t>(numStates()));
+  MinimizeCalls.add();
+  MinimizeStatesIn.add(numStates());
   // Refine only the reachable part; unreachable states (from product
-  // constructions) must not survive into the "minimal" DFA.
-  {
-    Dfa Reachable = trimUnreachable();
-    if (Reachable.numStates() != numStates())
-      return Reachable.minimized();
-  }
-  size_t N = numStates();
+  // constructions) must not survive into the "minimal" DFA. Trimming keeps
+  // the order of the states it keeps.
+  const Dfa R = trimUnreachable();
+  size_t N = R.numStates();
   // Moore refinement: start from the accepting/rejecting split and refine
   // by successor blocks until stable.
   std::vector<uint32_t> Block(N);
   for (size_t S = 0; S < N; ++S)
-    Block[S] = Accepting[S] ? 1 : 0;
+    Block[S] = R.Accepting[S] ? 1 : 0;
   size_t NumBlocks = 2;
 
   for (;;) {
@@ -147,7 +160,7 @@ Dfa Dfa::minimized() const {
       Sig.reserve(Alphabet.size() + 1);
       Sig.push_back(Block[S]);
       for (size_t A = 0; A < Alphabet.size(); ++A)
-        Sig.push_back(Block[Delta[S][A]]);
+        Sig.push_back(Block[R.Delta[S][A]]);
       auto [It, Inserted] =
           SigIds.emplace(std::move(Sig), static_cast<uint32_t>(SigIds.size()));
       (void)Inserted;
@@ -166,11 +179,12 @@ Dfa Dfa::minimized() const {
   Out.Accepting.assign(NumBlocks, false);
   Out.Delta.assign(NumBlocks, std::vector<StateId>(Alphabet.size(), 0));
   for (size_t S = 0; S < N; ++S) {
-    Out.Accepting[Block[S]] = Accepting[S];
+    Out.Accepting[Block[S]] = R.Accepting[S];
     for (size_t A = 0; A < Alphabet.size(); ++A)
-      Out.Delta[Block[S]][A] = Block[Delta[S][A]];
+      Out.Delta[Block[S]][A] = Block[R.Delta[S][A]];
   }
-  Out.Start = Block[Start];
+  Out.Start = Block[R.Start];
+  MinimizeStatesOut.add(Out.numStates());
   return Out;
 }
 

@@ -10,6 +10,7 @@
 #include "../TestHelpers.h"
 #include "cable/Strategies.h"
 #include "fa/Templates.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,18 @@ TEST(SessionTest, ContextIsExecutedTransitionRelation) {
   }
   EXPECT_TRUE(S.rejectedObjects().empty())
       << "the unordered reference FA accepts every trace";
+}
+
+TEST(SessionTest, RelationLedgerTicksOncePerSession) {
+  bool WasEnabled = Metrics::enabled();
+  Metrics::setEnabled(true);
+  uint64_t Calls = Metrics::counterValue("fa.relation-calls");
+  uint64_t Objects = Metrics::counterValue("fa.relation-objects");
+  Session S = makeStdioSession();
+  EXPECT_EQ(Metrics::counterValue("fa.relation-calls") - Calls, 1u);
+  EXPECT_EQ(Metrics::counterValue("fa.relation-objects") - Objects,
+            S.numObjects());
+  Metrics::setEnabled(WasEnabled);
 }
 
 TEST(SessionTest, RejectedObjectsReported) {

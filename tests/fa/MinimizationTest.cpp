@@ -14,6 +14,7 @@
 #include "fa/Dfa.h"
 
 #include "../TestHelpers.h"
+#include "support/Metrics.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
@@ -45,6 +46,29 @@ TEST(MinimizationTest, ThreeRoutesAgreeOnSimpleLanguage) {
   EXPECT_EQ(Moore.numStates(), Brzozowski.numStates());
   EXPECT_TRUE(Dfa::equivalent(Moore, Hopcroft));
   EXPECT_TRUE(Dfa::equivalent(Moore, Brzozowski));
+}
+
+TEST(MinimizationTest, LedgerTicksOncePerCall) {
+  // The product has unreachable states, which minimized() trims first;
+  // the ledger still counts one call with the untrimmed state count.
+  EventTable T;
+  Automaton NFA = compileFA("a b* | b", T);
+  std::vector<EventId> Alpha = internAlphabet(T, {"a", "b"});
+  Dfa D = Dfa::determinize(NFA, Alpha, T);
+  Dfa P = Dfa::product(D, D.complemented(), /*WantUnion=*/true);
+  bool WasEnabled = Metrics::enabled();
+  Metrics::setEnabled(true);
+  auto Value = [](const char *Name) { return Metrics::counterValue(Name); };
+  uint64_t Calls = Value("fa.minimize-calls");
+  uint64_t In = Value("fa.minimize-states-in");
+  uint64_t Out = Value("fa.minimize-states-out");
+  Dfa M = P.minimized();
+  EXPECT_EQ(Value("fa.minimize-calls") - Calls, 1u);
+  EXPECT_EQ(Value("fa.minimize-states-in") - In, P.numStates());
+  EXPECT_EQ(Value("fa.minimize-states-out") - Out, M.numStates());
+  Metrics::setEnabled(WasEnabled);
+  EXPECT_LT(M.numStates(), P.numStates());
+  EXPECT_EQ(M.numStates(), P.minimizedHopcroft().numStates());
 }
 
 TEST(MinimizationTest, EmptyLanguage) {
