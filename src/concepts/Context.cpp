@@ -13,7 +13,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdio>
-#include <unordered_map>
 
 using namespace cable;
 
@@ -31,8 +30,8 @@ Metrics::Counter &NumTau = Metrics::counter("context.tau-calls");
 /// fit one word; objects = traces fit CS*64), where the generic batched
 /// path's gather/dispatch overhead would rival the ANDs themselves.
 ///
-/// closeIntent: Sel is the (one-word) attribute selector; Extent/Out are
-/// CS and 1 words respectively.
+/// SelAttrs is the (one-word) attribute selector; ExtentOut and IntentOut
+/// are CS and 1 words respectively.
 template <size_t CS>
 void closeIntent1xN(const uint64_t *RowArena, const uint64_t *ColArena,
                     uint64_t SelAttrs, uint64_t ObjTailMask,
@@ -62,54 +61,18 @@ void closeIntent1xN(const uint64_t *RowArena, const uint64_t *ColArena,
   *IntentOut = Intent;
 }
 
-/// closeExtent counterpart: SelObjects spans CS words, the intermediate
-/// intent is one register, and the closed extent is folded back into CS
-/// registers.
-template <size_t CS>
-void closeExtent1xN(const uint64_t *RowArena, const uint64_t *ColArena,
-                    const uint64_t *SelObjects, uint64_t ObjTailMask,
-                    uint64_t AttrTailMask, uint64_t *IntentOut,
-                    uint64_t *ExtentOut) {
-  uint64_t Intent = AttrTailMask;
-  for (size_t W = 0; W < CS; ++W) {
-    uint64_t Bits = SelObjects[W];
-    const uint64_t *Base = RowArena + W * 64;
-    while (Bits != 0) {
-      Intent &= Base[static_cast<size_t>(std::countr_zero(Bits))];
-      Bits &= Bits - 1;
-    }
-  }
-  *IntentOut = Intent;
-  uint64_t Ext[CS];
-  for (size_t I = 0; I + 1 < CS; ++I)
-    Ext[I] = ~uint64_t(0);
-  Ext[CS - 1] = ObjTailMask;
-  while (Intent != 0) {
-    const uint64_t *Col =
-        ColArena + static_cast<size_t>(std::countr_zero(Intent)) * CS;
-    Intent &= Intent - 1;
-    for (size_t I = 0; I < CS; ++I)
-      Ext[I] &= Col[I];
-  }
-  for (size_t I = 0; I < CS; ++I)
-    ExtentOut[I] = Ext[I];
-}
-
 } // namespace
 
 Context::Context(size_t NumObjects, size_t NumAttributes)
     : NObj(NumObjects), NAttr(NumAttributes),
       RowStride((NumAttributes + 63) / 64), ColStride((NumObjects + 63) / 64),
-      RowArena(NumObjects * RowStride, 0), ColArena(NumAttributes * ColStride, 0),
-      ObjectRows(NumObjects, BitVector(NumAttributes)),
-      AttributeColsRef(NumAttributes, BitVector(NumObjects)) {}
+      RowArena(NumObjects * RowStride, 0),
+      ColArena(NumAttributes * ColStride, 0) {}
 
 void Context::relate(size_t Obj, size_t Attr) {
   assert(Obj < numObjects() && Attr < numAttributes() && "index out of range");
   RowArena[Obj * RowStride + Attr / 64] |= uint64_t(1) << (Attr % 64);
   ColArena[Attr * ColStride + Obj / 64] |= uint64_t(1) << (Obj % 64);
-  ObjectRows[Obj].set(Attr);
-  AttributeColsRef[Attr].set(Obj);
 }
 
 bool Context::related(size_t Obj, size_t Attr) const {
@@ -117,31 +80,8 @@ bool Context::related(size_t Obj, size_t Attr) const {
   return (RowArena[Obj * RowStride + Attr / 64] >> (Attr % 64)) & 1;
 }
 
-BitVector Context::sigmaReference(const BitVector &Objects) const {
-  assert(Objects.size() == numObjects() && "object universe mismatch");
-  BitVector Out(numAttributes());
-  Out.setAll();
-  for (size_t O : Objects)
-    Out &= ObjectRows[O];
-  return Out;
-}
-
-BitVector Context::tauReference(const BitVector &Attrs) const {
-  assert(Attrs.size() == numAttributes() && "attribute universe mismatch");
-  BitVector Out(numObjects());
-  Out.setAll();
-  for (size_t A : Attrs)
-    Out &= AttributeColsRef[A];
-  return Out;
-}
-
 void Context::sigmaInto(const BitVector &Objects, BitVector &Out) const {
   NumSigma.add();
-  sigmaIntoUncounted(Objects, Out);
-}
-
-void Context::sigmaIntoUncounted(const BitVector &Objects,
-                                 BitVector &Out) const {
   assert(Objects.size() == numObjects() && "object universe mismatch");
   assert(Out.size() == numAttributes() && "output universe mismatch");
   Out.setAll();
@@ -152,10 +92,6 @@ void Context::sigmaIntoUncounted(const BitVector &Objects,
 
 void Context::tauInto(const BitVector &Attrs, BitVector &Out) const {
   NumTau.add();
-  tauIntoUncounted(Attrs, Out);
-}
-
-void Context::tauIntoUncounted(const BitVector &Attrs, BitVector &Out) const {
   assert(Attrs.size() == numAttributes() && "attribute universe mismatch");
   assert(Out.size() == numObjects() && "output universe mismatch");
   Out.setAll();
@@ -176,13 +112,6 @@ BitVector Context::tau(const BitVector &Attrs) const {
   return Out;
 }
 
-BitVector Context::closeExtent(const BitVector &Objects) const {
-  BitVector AttrScratch(numAttributes());
-  BitVector Out(numObjects());
-  closeExtentInto(Objects, AttrScratch, Out);
-  return Out;
-}
-
 BitVector Context::closeIntent(const BitVector &Attrs) const {
   BitVector ObjScratch(numObjects());
   BitVector Out(numAttributes());
@@ -192,12 +121,12 @@ BitVector Context::closeIntent(const BitVector &Attrs) const {
 
 void Context::closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
                               BitVector &Out) const {
-  NumTau.add();
-  NumSigma.add();
   // Contexts whose attributes fit one word (the paper's regime: attributes
   // are FA transitions) and whose objects fit eight run the whole closure
   // in registers; the switch picks a fully unrolled column stride.
   if (RowStride == 1 && ColStride >= 1 && ColStride <= 8) {
+    NumTau.add();
+    NumSigma.add();
     assert(Attrs.size() == NAttr && Out.size() == NAttr &&
            ObjScratch.size() == NObj && "universe mismatch");
     uint64_t Sel = Attrs.words()[0];
@@ -240,59 +169,8 @@ void Context::closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
     assert(Out.tailIsClean() && ObjScratch.tailIsClean());
     return;
   }
-  tauIntoUncounted(Attrs, ObjScratch);
-  sigmaIntoUncounted(ObjScratch, Out);
-}
-
-void Context::closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,
-                              BitVector &Out) const {
-  if (RowStride == 1 && ColStride >= 1 && ColStride <= 8) {
-    assert(Objects.size() == NObj && Out.size() == NObj &&
-           AttrScratch.size() == NAttr && "universe mismatch");
-    NumSigma.add();
-    NumTau.add();
-    const uint64_t *Sel = Objects.words();
-    uint64_t ObjMask = Out.tailMask(), AttrMask = AttrScratch.tailMask();
-    uint64_t *Int = AttrScratch.words(), *Ext = Out.words();
-    switch (ColStride) {
-    case 1:
-      closeExtent1xN<1>(RowArena.data(), ColArena.data(), Sel, ObjMask,
-                        AttrMask, Int, Ext);
-      break;
-    case 2:
-      closeExtent1xN<2>(RowArena.data(), ColArena.data(), Sel, ObjMask,
-                        AttrMask, Int, Ext);
-      break;
-    case 3:
-      closeExtent1xN<3>(RowArena.data(), ColArena.data(), Sel, ObjMask,
-                        AttrMask, Int, Ext);
-      break;
-    case 4:
-      closeExtent1xN<4>(RowArena.data(), ColArena.data(), Sel, ObjMask,
-                        AttrMask, Int, Ext);
-      break;
-    case 5:
-      closeExtent1xN<5>(RowArena.data(), ColArena.data(), Sel, ObjMask,
-                        AttrMask, Int, Ext);
-      break;
-    case 6:
-      closeExtent1xN<6>(RowArena.data(), ColArena.data(), Sel, ObjMask,
-                        AttrMask, Int, Ext);
-      break;
-    case 7:
-      closeExtent1xN<7>(RowArena.data(), ColArena.data(), Sel, ObjMask,
-                        AttrMask, Int, Ext);
-      break;
-    case 8:
-      closeExtent1xN<8>(RowArena.data(), ColArena.data(), Sel, ObjMask,
-                        AttrMask, Int, Ext);
-      break;
-    }
-    assert(Out.tailIsClean() && AttrScratch.tailIsClean());
-    return;
-  }
-  sigmaInto(Objects, AttrScratch);
-  tauInto(AttrScratch, Out);
+  tauInto(Attrs, ObjScratch);
+  sigmaInto(ObjScratch, Out);
 }
 
 std::string Context::contentHash() const {
@@ -315,39 +193,4 @@ std::string Context::contentHash() const {
   std::snprintf(Hex, sizeof(Hex), "%016llx",
                 static_cast<unsigned long long>(H));
   return std::string(Hex, 16);
-}
-
-Context Context::clarified(std::vector<size_t> *ObjectMap,
-                           std::vector<size_t> *AttributeMap) const {
-  // Dedup object rows.
-  std::unordered_map<BitVector, size_t, BitVectorHash> RowIds;
-  std::vector<size_t> ObjOf(numObjects());
-  std::vector<const BitVector *> Rows;
-  for (size_t O = 0; O < numObjects(); ++O) {
-    auto [It, Inserted] = RowIds.emplace(ObjectRows[O], Rows.size());
-    if (Inserted)
-      Rows.push_back(&ObjectRows[O]);
-    ObjOf[O] = It->second;
-  }
-  // Dedup attribute columns.
-  std::unordered_map<BitVector, size_t, BitVectorHash> ColIds;
-  std::vector<size_t> AttrOf(numAttributes());
-  std::vector<size_t> ColRep;
-  for (size_t A = 0; A < numAttributes(); ++A) {
-    auto [It, Inserted] = ColIds.emplace(AttributeColsRef[A], ColRep.size());
-    if (Inserted)
-      ColRep.push_back(A);
-    AttrOf[A] = It->second;
-  }
-
-  Context Out(Rows.size(), ColRep.size());
-  for (size_t O = 0; O < numObjects(); ++O)
-    for (size_t A : ObjectRows[O])
-      if (!Out.related(ObjOf[O], AttrOf[A]))
-        Out.relate(ObjOf[O], AttrOf[A]);
-  if (ObjectMap)
-    *ObjectMap = std::move(ObjOf);
-  if (AttributeMap)
-    *AttributeMap = std::move(AttrOf);
-  return Out;
 }

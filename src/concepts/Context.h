@@ -15,20 +15,19 @@
 /// with the standard conventions sigma(∅) = A and tau(∅) = O, and the
 /// paper's similarity measure sim(X) = |sigma(X)|.
 ///
-/// Layout: the incidence matrix is stored twice as packed 64-bit-word
-/// arenas — object-major (row p at RowArena + p * RowStride) and
-/// transposed attribute-major (column a at ColArena + a * ColStride) — so
-/// sigma and tau each reduce to one fused simd::andSelectInto walking
-/// contiguous cache lines, instead of striding through per-BitVector heap
-/// allocations. objectRowWords()/attributeColWords() expose the arena
-/// words (cover computation ANDs extents with columns there). BitVector
-/// object rows are additionally mirrored for the objectRow()/attributeCol()
-/// API (GodinBuilder consumes rows directly).
+/// Layout: the relation is stored once per orientation, as packed
+/// 64-bit-word arenas — object-major (row p at RowArena + p * RowStride)
+/// and transposed attribute-major (column a at ColArena + a * ColStride) —
+/// so sigma and tau each reduce to one fused simd::andSelectInto walking
+/// contiguous cache lines. objectRowWords()/attributeColWords() expose the
+/// arena words (GodinBuilder reads rows there; cover computation ANDs
+/// extents with columns there). closeIntentInto, NextClosure's
+/// per-candidate closure, keeps small contexts in registers; every other
+/// derivation is one sigmaInto or tauInto.
 ///
-/// The pre-arena derivation code is kept as sigmaReference/tauReference:
-/// it is the bit-for-bit oracle for the layout differential tests (which
-/// also check built lattices against the closure system it induces) and
-/// the scalar baseline the closure-throughput benches compare against.
+/// The reference derivations (one BitVector per row and column, folded
+/// with operator&=) and clarification live in concepts/ContextReference.h,
+/// the cable_concepts_oracle target that only tests and benches link.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,14 +56,6 @@ public:
   /// Returns true if (Obj, Attr) is in R.
   bool related(size_t Obj, size_t Attr) const;
 
-  /// The attribute set of one object.
-  const BitVector &objectRow(size_t Obj) const { return ObjectRows[Obj]; }
-
-  /// The object set of one attribute.
-  const BitVector &attributeCol(size_t Attr) const {
-    return AttributeColsRef[Attr];
-  }
-
   /// The attribute set of one object as its words in the row arena,
   /// ceil(numAttributes() / 64) of them.
   const uint64_t *objectRowWords(size_t Obj) const {
@@ -91,7 +82,9 @@ public:
   void tauInto(const BitVector &Attrs, BitVector &Out) const;
 
   /// Extent closure: tau(sigma(Objects)).
-  BitVector closeExtent(const BitVector &Objects) const;
+  BitVector closeExtent(const BitVector &Objects) const {
+    return tau(sigma(Objects));
+  }
 
   /// Intent closure: sigma(tau(Attrs)).
   BitVector closeIntent(const BitVector &Attrs) const;
@@ -102,32 +95,9 @@ public:
   void closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
                        BitVector &Out) const;
 
-  /// Allocation-free extent closure: \p AttrScratch sized numAttributes(),
-  /// \p Out sized numObjects().
-  void closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,
-                       BitVector &Out) const;
-
   /// The paper's similarity of a set of objects: |sigma(Objects)| (§3.1).
   size_t similarity(const BitVector &Objects) const {
     return sigma(Objects).count();
-  }
-
-  /// The pre-arena sigma: setAll then one operator&= per selected row
-  /// BitVector. Kept verbatim as the differential oracle and the bench
-  /// baseline for "pre-PR scalar" closure throughput.
-  BitVector sigmaReference(const BitVector &Objects) const;
-
-  /// The pre-arena tau (per-column BitVector intersections).
-  BitVector tauReference(const BitVector &Attrs) const;
-
-  /// tau(sigma(Objects)) on the reference path.
-  BitVector closeExtentReference(const BitVector &Objects) const {
-    return tauReference(sigmaReference(Objects));
-  }
-
-  /// sigma(tau(Attrs)) on the reference path.
-  BitVector closeIntentReference(const BitVector &Attrs) const {
-    return sigmaReference(tauReference(Attrs));
   }
 
   /// Canonical content hash of the context: a 16-hex-digit FNV-1a digest
@@ -139,23 +109,11 @@ public:
   /// writes them), so the digest is a pure function of the relation.
   std::string contentHash() const;
 
-  /// Standard FCA clarification: merges objects with identical rows and
-  /// attributes with identical columns. The clarified context has an
-  /// isomorphic concept lattice but can be much smaller to build. The
-  /// optional out-parameters receive, for each original object/attribute,
-  /// its index in the clarified context.
-  Context clarified(std::vector<size_t> *ObjectMap = nullptr,
-                    std::vector<size_t> *AttributeMap = nullptr) const;
-
   /// Optional display names (used by renderers; may stay empty).
   std::vector<std::string> ObjectNames;
   std::vector<std::string> AttributeNames;
 
 private:
-  /// sigmaInto / tauInto without the call counters.
-  void sigmaIntoUncounted(const BitVector &Objects, BitVector &Out) const;
-  void tauIntoUncounted(const BitVector &Attrs, BitVector &Out) const;
-
   size_t NObj = 0;
   size_t NAttr = 0;
   /// Words per row in RowArena: ceil(NAttr / 64).
@@ -166,10 +124,6 @@ private:
   std::vector<uint64_t> RowArena;
   /// Transposed attribute-major matrix (column a at a * ColStride).
   std::vector<uint64_t> ColArena;
-  /// BitVector mirror of the rows for the objectRow() API; AttributeColsRef
-  /// mirrors columns solely for the reference tau path.
-  std::vector<BitVector> ObjectRows;
-  std::vector<BitVector> AttributeColsRef;
 };
 
 } // namespace cable

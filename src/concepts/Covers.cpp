@@ -90,13 +90,13 @@ void lowerCovers(const CoverInputs &In, NodeId X, Scratch &S,
     for (; Generators != 0; Generators &= Generators - 1) {
       const uint64_t *Col = In.Ctx.attributeColWords(
           AW * 64 + static_cast<size_t>(std::countr_zero(Generators)));
-      uint64_t H = ExtentIndex::HashSeed;
+      uint64_t H = BitVector::HashSeed;
       for (size_t W = 0; W < ObjWords; ++W) {
         Meet[W] = Extent[W] & Col[W];
-        H = ExtentIndex::hashStep(H, Meet[W]);
+        H = BitVector::hashStep(H, Meet[W]);
       }
       ++Lookups;
-      NodeId D = In.Index.find(Meet, ObjWords, ExtentIndex::hashFinish(H));
+      NodeId D = In.Index.find(Meet, ObjWords, BitVector::hashFinish(H));
       assert(D != NoNode && "concept set is not closed under closure");
       if (D != NoNode && S.Tally[D]++ == 0)
         S.Hits.push_back(D);
@@ -123,14 +123,6 @@ void lowerCovers(const CoverInputs &In, NodeId X, Scratch &S,
   Out.assign(S.Covers.begin(), S.Covers.end());
 }
 
-/// The finished ExtentIndex hash of a whole extent.
-uint64_t hashOf(const BitVector &Extent) {
-  uint64_t H = ExtentIndex::HashSeed;
-  for (size_t W = 0; W < Extent.numWords(); ++W)
-    H = ExtentIndex::hashStep(H, Extent.words()[W]);
-  return ExtentIndex::hashFinish(H);
-}
-
 } // namespace
 
 ExtentIndex::ExtentIndex(const std::vector<Concept> &Concepts)
@@ -141,7 +133,7 @@ ExtentIndex::ExtentIndex(const std::vector<Concept> &Concepts)
   Shift = 64 - static_cast<unsigned>(std::countr_zero(Capacity));
   Slots.assign(Capacity, Slot{0, NoNode});
   for (NodeId Id = 0; Id < Concepts.size(); ++Id) {
-    const uint64_t H = hashOf(Concepts[Id].Extent);
+    const uint64_t H = Concepts[Id].Extent.hashValue();
     const uint32_t Tag = tagOf(H);
     size_t I = H >> Shift;
     for (; Slots[I].Id != NoNode; I = (I + 1) & (Capacity - 1))
@@ -152,7 +144,7 @@ ExtentIndex::ExtentIndex(const std::vector<Concept> &Concepts)
 }
 
 ExtentIndex::NodeId ExtentIndex::find(const BitVector &Extent) const {
-  return find(Extent.words(), Extent.numWords(), hashOf(Extent));
+  return find(Extent.words(), Extent.numWords(), Extent.hashValue());
 }
 
 ExtentIndex::NodeId ExtentIndex::find(const uint64_t *Words, size_t NumWords,

@@ -40,7 +40,6 @@
 
 #include "concepts/Lattice.h"
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -80,25 +79,10 @@ public:
   /// other set the result is NoNode or an arbitrary concept.
   NodeId find(const BitVector &Extent) const;
 
-  /// find on \p NumWords raw extent words whose hash, folded with
-  /// hashStep from HashSeed and finished by hashFinish, is \p Hash.
+  /// find on \p NumWords raw extent words whose BitVector hash (folded with
+  /// BitVector::hashStep from HashSeed and finished by hashFinish) is
+  /// \p Hash.
   NodeId find(const uint64_t *Words, size_t NumWords, uint64_t Hash) const;
-
-  /// The extent hash, one word at a time, so that a caller can hash an
-  /// extent while it computes it. Multiplication only carries bits
-  /// upwards, so each step rotates the product: without it, the top bit of
-  /// a word would reach only the top bit of the hash, and extents that
-  /// differ in the top bits of two words would collide.
-  static constexpr uint64_t HashSeed = 0xCBF29CE484222325ULL;
-  static uint64_t hashStep(uint64_t H, uint64_t Word) {
-    return std::rotl((H ^ Word) * 0x9E3779B97F4A7C15ULL, 29);
-  }
-  /// Folds the high half into the low half, which holds the tag.
-  static uint64_t hashFinish(uint64_t H) {
-    H ^= H >> 32;
-    H *= 0xD6E8FEB86659FD93ULL;
-    return H ^ (H >> 32);
-  }
 
 private:
   struct Slot {

@@ -101,8 +101,13 @@ ConceptLattice GodinBuilder::build() const {
 ConceptLattice GodinBuilder::buildLattice(const Context &Ctx) {
   TraceSpan Span("godin-build", static_cast<int64_t>(Ctx.numObjects()));
   GodinBuilder B(Ctx.numAttributes());
-  for (size_t O = 0; O < Ctx.numObjects(); ++O)
-    B.addObject(Ctx.objectRow(O));
+  // One row buffer, refilled from the row arena per object (arena tail
+  // bits are zero, as BitVector's are).
+  BitVector Row(Ctx.numAttributes());
+  for (size_t O = 0; O < Ctx.numObjects(); ++O) {
+    std::copy_n(Ctx.objectRowWords(O), Row.numWords(), Row.words());
+    B.addObject(Row);
+  }
   // Every extent was grown to the full object universe by the last
   // insertion (with no objects, the seed's is already empty).
   return ConceptLattice::fromConcepts(Ctx, std::move(B.Concepts));

@@ -141,13 +141,10 @@ std::vector<size_t> BitVector::toIndices() const {
 }
 
 size_t BitVector::hashValue() const {
-  // FNV-1a over the words, mixed with the universe size.
-  uint64_t H = 0xcbf29ce484222325ULL ^ NumBits;
-  for (uint64_t W : Words) {
-    H ^= W;
-    H *= 0x100000001b3ULL;
-  }
-  return static_cast<size_t>(H);
+  uint64_t H = HashSeed;
+  for (uint64_t W : Words)
+    H = hashStep(H, W);
+  return static_cast<size_t>(hashFinish(H));
 }
 
 namespace cable {

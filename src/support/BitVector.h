@@ -143,8 +143,31 @@ public:
   /// printing; prefer iteration in hot paths).
   std::vector<size_t> toIndices() const;
 
-  /// Hashes the bit pattern (for unordered containers keyed on extents).
+  /// Hashes the bit pattern (for unordered containers keyed on extents):
+  /// hashFinish of hashStep folded over the words from HashSeed.
   size_t hashValue() const;
+
+  /// The hash, one word at a time, so that a caller can hash a set while
+  /// it computes it (cover computation hashes each extent meet as it ANDs
+  /// it). Each step is a folded multiply: the 128-bit product of the state
+  /// and a constant, high half XOR low half. A plain 64-bit multiply only
+  /// carries bits upwards, so the top bits of a word would reach few bits
+  /// of the state, and a later word could cancel them: word-wise FNV-1a
+  /// maps {63} and {127} to one hash, and a rotate after the multiply
+  /// still maps {63} and {92} to one. The high half spreads every bit of
+  /// the word over the whole state.
+  static constexpr uint64_t HashSeed = 0xCBF29CE484222325ULL;
+  static uint64_t hashStep(uint64_t H, uint64_t Word) {
+    unsigned __int128 P =
+        static_cast<unsigned __int128>(H ^ Word) * 0x9E3779B97F4A7C15ULL;
+    return static_cast<uint64_t>(P) ^ static_cast<uint64_t>(P >> 64);
+  }
+  /// Folds the high half into the low half.
+  static uint64_t hashFinish(uint64_t H) {
+    H ^= H >> 32;
+    H *= 0xD6E8FEB86659FD93ULL;
+    return H ^ (H >> 32);
+  }
 
   /// Raw word access for the kernel layer (Context packs these into its
   /// arenas; simd::andSelectInto reads selectors through this).

@@ -14,8 +14,8 @@
 #      not slower than the portable one (within a noise margin — a slower
 #      AVX2 form would mean the one remaining CPU dispatch no longer pays
 #      on this machine). Without AVX2 there is nothing to compare.
-#   3. The fused closure path did not regress against the retained legacy
-#      baseline: closure_speedup_* >= 1.0 (the ≥4x acceptance number is
+#   3. The fused closure path did not regress against the reference
+#      derivations (ContextReference): closure_speedup_* >= 1.0 (the ≥4x acceptance number is
 #      recorded in the JSON; the guard enforces the never-slower floor so
 #      it stays meaningful on noisy shared runners).
 #

@@ -51,7 +51,9 @@ TEST(SessionTest, ContextIsExecutedTransitionRelation) {
   for (size_t Obj = 0; Obj < S.numObjects(); ++Obj) {
     BitVector Expected =
         S.referenceFA().executedTransitions(S.object(Obj), S.table());
-    EXPECT_TRUE(Ctx.objectRow(Obj) == Expected);
+    for (size_t A = 0; A < Ctx.numAttributes(); ++A)
+      EXPECT_EQ(Ctx.related(Obj, A), Expected.test(A))
+          << "object " << Obj << ", transition " << A;
   }
   EXPECT_TRUE(S.rejectedObjects().empty())
       << "the unordered reference FA accepts every trace";

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "concepts/ContextReference.h"
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 
@@ -185,13 +186,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BuilderAgreementDenseTest,
 TEST(GodinBuilderTest, IncrementalMatchesBatchAtEveryPrefix) {
   RNG Rand(99);
   Context Full = randomContext(Rand, 8, 6, 0.4);
+  const ContextReference Rows(Full);
   GodinBuilder B(Full.numAttributes());
   for (size_t O = 0; O < Full.numObjects(); ++O) {
-    B.addObject(Full.objectRow(O));
+    B.addObject(Rows.row(O));
     // Prefix context with objects 0..O.
     Context Prefix(O + 1, Full.numAttributes());
     for (size_t I = 0; I <= O; ++I)
-      for (size_t A : Full.objectRow(I))
+      for (size_t A : Rows.row(I))
         Prefix.relate(I, A);
     ConceptLattice Inc = B.build();
     ConceptLattice Batch = NextClosureBuilder::buildLattice(Prefix);
@@ -202,7 +204,7 @@ TEST(GodinBuilderTest, IncrementalMatchesBatchAtEveryPrefix) {
 TEST(GodinBuilderTest, ClarifiedContextHasIsomorphicLattice) {
   RNG Rand(77);
   Context Ctx = randomContext(Rand, 10, 8, 0.35);
-  Context C = Ctx.clarified();
+  Context C = clarified(Ctx);
   ConceptLattice Full = GodinBuilder::buildLattice(Ctx);
   ConceptLattice Small = GodinBuilder::buildLattice(C);
   EXPECT_EQ(Full.size(), Small.size())

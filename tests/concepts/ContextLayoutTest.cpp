@@ -7,12 +7,15 @@
 //
 // Property suite for the blocked arena Context layout: on random and
 // degenerate contexts, the fused sigma/tau (packed row/column arenas +
-// andSelectInto) must agree bit-for-bit with the retained pre-arena
-// reference implementations; and entire lattices built by both builders
-// must be exactly the concepts of the reference closure system.
+// andSelectInto) and the register-resident intent closure at every column
+// stride must agree bit-for-bit with the reference derivations
+// (ContextReference); and entire lattices built by both builders must be
+// exactly the concepts of the reference closure system, on one-word and
+// multi-word rows, before and after clarification.
 //
 //===----------------------------------------------------------------------===//
 
+#include "concepts/ContextReference.h"
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 
@@ -77,13 +80,14 @@ void expectDerivationsMatchReference(const Context &Ctx, uint64_t Seed,
     ObjSets.push_back(randomSubset(Rand, Ctx.numObjects()));
     AttrSets.push_back(randomSubset(Rand, Ctx.numAttributes()));
   }
+  const ContextReference Ref(Ctx);
   for (const BitVector &X : ObjSets) {
-    EXPECT_TRUE(Ctx.sigma(X) == Ctx.sigmaReference(X)) << What;
-    EXPECT_TRUE(Ctx.closeExtent(X) == Ctx.closeExtentReference(X)) << What;
+    EXPECT_TRUE(Ctx.sigma(X) == Ref.sigma(X)) << What;
+    EXPECT_TRUE(Ctx.closeExtent(X) == Ref.closeExtent(X)) << What;
   }
   for (const BitVector &Y : AttrSets) {
-    EXPECT_TRUE(Ctx.tau(Y) == Ctx.tauReference(Y)) << What;
-    EXPECT_TRUE(Ctx.closeIntent(Y) == Ctx.closeIntentReference(Y)) << What;
+    EXPECT_TRUE(Ctx.tau(Y) == Ref.tau(Y)) << What;
+    EXPECT_TRUE(Ctx.closeIntent(Y) == Ref.closeIntent(Y)) << What;
   }
 }
 
@@ -115,23 +119,22 @@ void expectBuildersMatchReferenceClosures(const Context &Ctx,
   ConceptLattice G = GodinBuilder::buildLattice(Ctx);
   EXPECT_TRUE(canonical(G) == canonical(N)) << What;
 
+  const ContextReference Ref(Ctx);
   size_t M = Ctx.numAttributes();
   std::set<std::vector<size_t>> Intents;
   for (ConceptLattice::NodeId Id = 0; Id < N.size(); ++Id)
     Intents.insert(N.node(Id).Intent.toIndices());
-  EXPECT_TRUE(N.node(N.top()).Intent == Ctx.closeIntentReference(BitVector(M)))
-      << What;
+  EXPECT_TRUE(N.node(N.top()).Intent == Ref.closeIntent(BitVector(M))) << What;
   for (ConceptLattice::NodeId Id = 0; Id < N.size(); ++Id) {
     const Concept &C = N.node(Id);
-    EXPECT_TRUE(Ctx.closeIntentReference(C.Intent) == C.Intent)
-        << What << " c" << Id;
-    EXPECT_TRUE(Ctx.tauReference(C.Intent) == C.Extent) << What << " c" << Id;
+    EXPECT_TRUE(Ref.closeIntent(C.Intent) == C.Intent) << What << " c" << Id;
+    EXPECT_TRUE(Ref.tau(C.Intent) == C.Extent) << What << " c" << Id;
     for (size_t A = 0; A < M; ++A) {
       if (C.Intent.test(A))
         continue;
       BitVector Up = C.Intent;
       Up.set(A);
-      EXPECT_TRUE(Intents.count(Ctx.closeIntentReference(Up).toIndices()))
+      EXPECT_TRUE(Intents.count(Ref.closeIntent(Up).toIndices()))
           << What << " c" << Id << " + a" << A;
     }
   }
@@ -200,3 +203,125 @@ TEST(ContextPathEquivalenceTest, DegenerateContexts) {
   expectBuildersMatchReferenceClosures(Context(0, 6), "0x6");
   expectBuildersMatchReferenceClosures(contranominal(8), "contranominal8");
 }
+
+/// Every column stride of the register-resident intent closure, and both
+/// fallbacks: object counts 64k-1, 64k and 64k+1 for k = 1..9 give column
+/// strides 1 to 10 (the register path covers 1 to 8), and attribute counts
+/// 1, 63, 64 and 65 give one-word rows and two-word rows (the fallback).
+class ClosureStrideTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ClosureStrideTest, CloseIntentIntoMatchesReference) {
+  const size_t K = GetParam();
+  for (size_t N : {64 * K - 1, 64 * K, 64 * K + 1})
+    for (size_t M : {1, 63, 64, 65}) {
+      std::string What = std::to_string(N) + "x" + std::to_string(M);
+      RNG Rand(N * 131 + M);
+      Context Ctx(N, M);
+      for (size_t O = 0; O < N; ++O)
+        for (size_t A = 0; A < M; ++A)
+          if (Rand.nextBool(0.9))
+            Ctx.relate(O, A);
+      const ContextReference Ref(Ctx);
+      // Scratch reused across calls, as NextClosure reuses it.
+      BitVector Extent(N), Intent(M);
+      for (int I = 0; I < 24; ++I) {
+        // Empty, full, then subsets of a few to a fifth of the attributes.
+        BitVector Y(M);
+        if (I == 1)
+          Y.setAll();
+        else if (I > 1)
+          for (size_t A = 0; A < M; ++A)
+            if (Rand.nextBool(I % 3 == 0 ? 0.02 : I % 3 == 1 ? 0.08 : 0.2))
+              Y.set(A);
+        Ctx.closeIntentInto(Y, Extent, Intent);
+        EXPECT_TRUE(Extent == Ref.tau(Y)) << What << " subset " << I;
+        EXPECT_TRUE(Intent == Ref.closeIntent(Y)) << What << " subset " << I;
+        EXPECT_TRUE(Extent.tailIsClean() && Intent.tailIsClean()) << What;
+      }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(K, ClosureStrideTest,
+                         ::testing::Range<size_t>(1, 10));
+
+namespace {
+
+/// A sparse context over multi-word rows: about four attributes per
+/// object, plus the last attribute and attribute 63 (the last bit of the
+/// first word) half the time each. Every seventh object repeats the row
+/// before it, and attribute M-2 always has the column of attribute 0, so
+/// clarification has objects and attributes to merge.
+Context multiWordContext(size_t N, size_t M, uint64_t Seed) {
+  RNG Rand(Seed);
+  std::vector<std::vector<bool>> Rows(N, std::vector<bool>(M));
+  for (size_t O = 0; O < N; ++O) {
+    if (O % 7 == 6) {
+      Rows[O] = Rows[O - 1];
+      continue;
+    }
+    for (int J = 0; J < 4; ++J)
+      Rows[O][Rand.nextIndex(M)] = true;
+    if (Rand.nextBool(0.5))
+      Rows[O][M - 1] = true;
+    if (M > 63 && Rand.nextBool(0.5))
+      Rows[O][63] = true;
+    Rows[O][M - 2] = Rows[O][0] = Rows[O][0] || Rows[O][M - 2];
+  }
+  Context Ctx(N, M);
+  for (size_t O = 0; O < N; ++O)
+    for (size_t A = 0; A < M; ++A)
+      if (Rows[O][A])
+        Ctx.relate(O, A);
+  return Ctx;
+}
+
+} // namespace
+
+/// Godin against NextClosure and the reference closures on rows of one
+/// word less a bit, one word, one word and a bit, and three words, with
+/// more than one word of objects; then the same on the clarified context,
+/// whose lattice must have the same shape.
+class MultiWordRowsTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(MultiWordRowsTest, GodinMatchesNextClosureBeforeAndAfterClarifying) {
+  const size_t M = GetParam();
+  for (size_t N : {65, 100, 130}) {
+    std::string What = std::to_string(N) + "x" + std::to_string(M);
+    Context Ctx = multiWordContext(N, M, N * 1000 + M);
+    expectBuildersMatchReferenceClosures(Ctx, What);
+
+    std::vector<size_t> ObjMap, AttrMap;
+    Context C = clarified(Ctx, &ObjMap, &AttrMap);
+    std::set<std::vector<bool>> Rows, Cols;
+    for (size_t O = 0; O < N; ++O) {
+      std::vector<bool> Row(M);
+      for (size_t A = 0; A < M; ++A)
+        Row[A] = Ctx.related(O, A);
+      Rows.insert(Row);
+    }
+    for (size_t A = 0; A < M; ++A) {
+      std::vector<bool> Col(N);
+      for (size_t O = 0; O < N; ++O)
+        Col[O] = Ctx.related(O, A);
+      Cols.insert(Col);
+    }
+    EXPECT_EQ(C.numObjects(), Rows.size()) << What;
+    EXPECT_EQ(C.numAttributes(), Cols.size()) << What;
+    EXPECT_LT(C.numObjects(), N) << What;
+    EXPECT_LT(C.numAttributes(), M) << What;
+    for (size_t O = 0; O < N; ++O)
+      for (size_t A = 0; A < M; ++A)
+        ASSERT_EQ(Ctx.related(O, A), C.related(ObjMap[O], AttrMap[A]))
+            << What << " o" << O << " a" << A;
+
+    ConceptLattice Full = GodinBuilder::buildLattice(Ctx);
+    ConceptLattice Small = GodinBuilder::buildLattice(C);
+    EXPECT_EQ(Full.size(), Small.size()) << What;
+    EXPECT_EQ(Full.numEdges(), Small.numEdges()) << What;
+    EXPECT_EQ(Full.height(), Small.height()) << What;
+    expectBuildersMatchReferenceClosures(C, What + " clarified");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Attributes, MultiWordRowsTest,
+                         ::testing::Values(63, 64, 65, 130));

@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "concepts/ContextReference.h"
 #include "concepts/Covers.h"
 #include "concepts/NextClosureBuilder.h"
 
@@ -67,13 +68,14 @@ void expectLookupsAreClosures(const Context &Ctx,
                               const std::vector<Concept> &Concepts,
                               const std::string &What) {
   ExtentIndex Index(Concepts);
+  const ContextReference Ref(Ctx);
   for (const Concept &C : Concepts)
     for (size_t M = 0; M < Ctx.numAttributes(); ++M) {
       if (C.Intent.test(M))
         continue;
       BitVector Generated = C.Intent;
       Generated.set(M);
-      ExtentIndex::NodeId D = Index.find(C.Extent & Ctx.attributeCol(M));
+      ExtentIndex::NodeId D = Index.find(C.Extent & Ref.col(M));
       ASSERT_NE(D, ExtentIndex::NoNode) << What << " m" << M;
       ASSERT_EQ(Concepts[D].Intent, Ctx.closeIntent(Generated))
           << What << " m" << M;
@@ -205,8 +207,8 @@ TEST(ExtentIndexTest, SharedTagIsResolvedByExtent) {
   uint64_t First = 0, Second = 0;
   while (First == Second) {
     uint64_t Word = Rand.next();
-    uint64_t H = ExtentIndex::hashFinish(
-        ExtentIndex::hashStep(ExtentIndex::HashSeed, Word));
+    uint64_t H = BitVector::hashFinish(
+        BitVector::hashStep(BitVector::HashSeed, Word));
     uint64_t Key = (H >> 62) << 32 | (static_cast<uint32_t>(H) & ~1u);
     auto [It, Inserted] = Seen.emplace(Key, Word);
     if (!Inserted && It->second != Word) {

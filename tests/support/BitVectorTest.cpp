@@ -151,6 +151,23 @@ TEST(BitVectorTest, HashEqualForEqualVectors) {
   EXPECT_EQ(A.hashValue(), B.hashValue());
 }
 
+TEST(BitVectorTest, SingleBitSetsHashApart) {
+  // Word-wise FNV-1a maps {63} and {127} (the top bits of two words) to
+  // one hash, and a rotate after each multiply {63} and {92}; every
+  // single-bit set of a 256-bit universe must hash apart.
+  std::set<size_t> Hashes;
+  for (size_t I = 0; I < 256; ++I) {
+    BitVector BV(256);
+    BV.set(I);
+    Hashes.insert(BV.hashValue());
+  }
+  EXPECT_EQ(Hashes.size(), 256u);
+  BitVector A(128), B(128);
+  A.set(63);
+  B.set(127);
+  EXPECT_NE(A.hashValue(), B.hashValue());
+}
+
 TEST(BitVectorTest, ZeroSizedVector) {
   BitVector BV(0);
   EXPECT_EQ(BV.count(), 0u);

@@ -8,10 +8,11 @@
 // The command interpreter in-process. Fixed cases pin the label-lookup
 // rules and the write-ahead loop; the fuzz suite feeds random command
 // streams (label with every selection form, undo, focus inside focus,
-// unfocus, save/load, malformed ids, arguments and regexes) to random
-// sessions (complete lattices, and lattices a concept cap truncated) and,
-// after every line, checks labels and undo depth at every focus level
-// against SessionModelTest's reference model; the replay suite crashes a
+// unfocus, save/load, malformed ids, arguments and regexes, and `oracle`
+// on protocol-backed sessions) to random sessions (complete lattices,
+// lattices a concept cap truncated, and protocol scenarios) and, after
+// every line, checks labels and undo depth at every focus level against
+// SessionModelTest's reference model; the replay suite crashes a
 // journaled interpreter at random points (some with a focus still open),
 // recovers it, and requires the final session to be byte-identical to the
 // uninterrupted run's — including streams where a `load` failed live
@@ -23,8 +24,12 @@
 
 #include "../TestHelpers.h"
 #include "../cable/SessionModel.h"
+#include "cable/Strategies.h"
 #include "support/Failpoint.h"
 #include "support/StringUtil.h"
+#include "workload/Generator.h"
+#include "workload/Oracle.h"
+#include "workload/Protocols.h"
 
 #include <gtest/gtest.h>
 
@@ -74,9 +79,25 @@ const char *const kNames[] = {"good", "bad", "odd"};
 const char *const kPatterns[] = {".*", "[a | b]*", "a .*", "~c .*", "d",
                                  "[["};
 
+/// 4-11 scenarios of the stdio protocol or one of the first Table 1
+/// protocols, clustered with the unordered template.
+std::pair<Session, ProtocolModel> makeProtocolSession(RNG &Rand) {
+  size_t Pick = Rand.nextIndex(4);
+  ProtocolModel Model = Pick == 0 ? stdioProtocol() : allProtocols()[Pick - 1];
+  EventTable Table;
+  WorkloadGenerator Gen(Model, Table);
+  TraceSet Traces = Gen.generateScenarios(Rand, 4 + Rand.nextIndex(8));
+  Automaton Ref =
+      makeUnorderedFA(templateAlphabet(Traces.traces()), Traces.table());
+  return {Session(std::move(Traces), std::move(Ref)), std::move(Model)};
+}
+
 /// One random command line against the current session \p S. Label files
-/// live in \p Dir.
-std::string randomLine(RNG &Rand, const Session &S, const std::string &Dir) {
+/// live in \p Dir. With \p WithOracle, one line in ten is `oracle`.
+std::string randomLine(RNG &Rand, const Session &S, const std::string &Dir,
+                       bool WithOracle = false) {
+  if (WithOracle && Rand.nextBounded(10) == 0)
+    return "oracle";
   auto Concept = [&]() -> std::string {
     switch (Rand.nextBounded(12)) {
     case 0:
@@ -153,7 +174,10 @@ std::string randomLine(RNG &Rand, const Session &S, const std::string &Dir) {
 /// semantics rather than read back from the session.
 class ModelChecker {
 public:
-  explicit ModelChecker(CommandInterpreter &Cli) : Cli(Cli) {
+  /// \p Protocol is the interpreter's protocol, if it has one.
+  explicit ModelChecker(CommandInterpreter &Cli,
+                        const ProtocolModel *Protocol = nullptr)
+      : Cli(Cli), Protocol(Protocol) {
     Levels.push_back({Model(Cli.base().numObjects()), {}});
   }
 
@@ -260,6 +284,14 @@ public:
         EXPECT_EQ(R.Out, "labels loaded (" + std::to_string(Unmatched) +
                              " line(s) matched no trace here)\n");
       }
+    } else if (Cmd == "oracle") {
+      Expect = Protocol != nullptr;
+      MayIntern = Expect;
+      if (!Expect) {
+        run(Line, false);
+      } else {
+        expectOracleRun(Line, S, M);
+      }
     } else if ((Cmd == "fa" || Cmd == "traces") && Args.size() >= 2) {
       run(Line, conceptOf(Args[1], S).has_value());
     } else if ((Cmd == "meet" || Cmd == "join") && Args.size() >= 3) {
@@ -282,6 +314,57 @@ public:
   }
 
 private:
+  /// `oracle` labels the session with the protocol oracle's labels, one
+  /// label command at a time, after clearing labels and undo history. The
+  /// labels it must reach come straight from Oracle; the states between
+  /// its label commands, which undo walks back through, come from the
+  /// same expert strategy run on a copy of the session and unwound.
+  void expectOracleRun(const std::string &Line, Session &S, Model &M) {
+    Session Copy = S;
+    Oracle Truth(*Protocol, Copy.table());
+    std::vector<std::string> Names = Truth.labelNames(Copy);
+    ExpertSimStrategy Expert;
+    StrategyCost Cost = Expert.run(Copy, Truth.referenceLabeling(Copy));
+    char Want[128];
+    std::snprintf(Want, sizeof(Want),
+                  "expert simulation: %zu inspections + %zu label ops (%s)\n",
+                  Cost.Inspections, Cost.LabelOps,
+                  Cost.Finished ? "finished" : "DID NOT FINISH");
+    EXPECT_EQ(run(Line, true).Out, Want);
+
+    // States after 0..LabelOps label commands, as names per object.
+    std::vector<std::vector<std::optional<std::string>>> States;
+    do {
+      States.emplace_back();
+      for (size_t Obj = 0; Obj < Copy.numObjects(); ++Obj) {
+        std::optional<LabelId> L = Copy.labelOf(Obj);
+        States.back().push_back(L ? std::optional(Copy.labelName(*L))
+                                  : std::nullopt);
+        // A label command only ever gives a trace its oracle label.
+        if (L)
+          EXPECT_EQ(*States.back().back(), Names[Obj]) << "object " << Obj;
+      }
+    } while (Copy.undo());
+    std::reverse(States.begin(), States.end());
+    ASSERT_EQ(States.size(), Cost.LabelOps + 1);
+    auto Ids = [&](const std::vector<std::optional<std::string>> &State) {
+      std::vector<std::optional<LabelId>> Out;
+      for (const std::optional<std::string> &Name : State)
+        Out.push_back(Name ? S.findLabel(*Name) : std::nullopt);
+      return Out;
+    };
+    M.History.clear();
+    for (size_t I = 0; I < Cost.LabelOps; ++I)
+      M.History.push_back(Ids(States[I]));
+    for (size_t Obj = 0; Obj < M.Labels.size(); ++Obj) {
+      EXPECT_FALSE(States.front()[Obj]) << "object " << Obj;
+      if (Cost.Finished || States.back()[Obj])
+        M.Labels[Obj] = S.findLabel(Names[Obj]);
+      else
+        M.Labels[Obj] = std::nullopt;
+    }
+  }
+
   CommandResult run(const std::string &Line, bool ExpectOk) {
     CommandResult R = Cli.run(Line);
     EXPECT_EQ(R.Ok, ExpectOk) << R.Out;
@@ -295,6 +378,7 @@ private:
   };
 
   CommandInterpreter &Cli;
+  const ProtocolModel *Protocol;
   std::vector<Level> Levels;
   /// What each label file holds: (label, rendered trace) per line.
   std::map<std::string, std::vector<std::pair<std::string, std::string>>>
@@ -377,23 +461,35 @@ class CommandsFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 /// Seeds from this one on build their session under a concept cap that
 /// truncates the lattice (the tools' --max-concepts --keep-going path).
 constexpr uint64_t kFirstTruncatedSeed = 40;
+/// Seeds from this one on build a protocol-backed session (the tools'
+/// --protocol path), whose streams also run `oracle`.
+constexpr uint64_t kFirstProtocolSeed = 60;
 
 TEST_P(CommandsFuzzTest, RandomCommandStreamsAgreeWithModel) {
   RNG Rand(GetParam() * 7919 + 11);
-  bool Truncated = GetParam() >= kFirstTruncatedSeed;
-  CommandInterpreter Cli(Truncated ? makeTruncatedSession(Rand)
-                                   : makeRandomSession(Rand));
-  ASSERT_EQ(Cli.base().truncated(), Truncated);
+  bool WithProtocol = GetParam() >= kFirstProtocolSeed;
+  bool Truncated = !WithProtocol && GetParam() >= kFirstTruncatedSeed;
+  std::optional<CommandInterpreter> Cli;
+  std::optional<ProtocolModel> Protocol;
+  if (WithProtocol) {
+    auto [S, Model] = makeProtocolSession(Rand);
+    Protocol = Model;
+    Cli.emplace(std::move(S), std::move(Model));
+  } else {
+    Cli.emplace(Truncated ? makeTruncatedSession(Rand)
+                          : makeRandomSession(Rand));
+  }
+  ASSERT_EQ(Cli->base().truncated(), Truncated);
   std::string Dir = freshDir("fuzz" + std::to_string(GetParam()));
-  ModelChecker Checker(Cli);
-  for (int Step = 0; Step < 120 && !::testing::Test::HasFatalFailure();
-       ++Step)
-    Checker.step(randomLine(Rand, Cli.current(), Dir));
+  ModelChecker Checker(*Cli, Protocol ? &*Protocol : nullptr);
+  // Once the model disagrees, later steps check nothing: stop there.
+  for (int Step = 0; Step < 120 && !::testing::Test::HasFailure(); ++Step)
+    Checker.step(randomLine(Rand, Cli->current(), Dir, WithProtocol));
   std::filesystem::remove_all(Dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CommandsFuzzTest,
-                         ::testing::Range<uint64_t>(0, 60));
+                         ::testing::Range<uint64_t>(0, 80));
 
 class CommandsReplayTest : public ::testing::TestWithParam<uint64_t> {};
 
