@@ -57,8 +57,8 @@ inline constexpr size_t DeadlineKeepCap = 1024;
 /// deterministically), then ensures the context's true top and bottom are
 /// present so ConceptLattice's structural invariants hold. Preserves the
 /// input order of the kept concepts. Cover edges come from the pairwise
-/// scan, serially: a truncated subset is not closed under closure, so
-/// neighbour counting does not apply, and it is small by construction.
+/// scan: a truncated subset is not closed under closure, so neighbour
+/// counting does not apply, and it is small by construction.
 ConceptLattice finalizeTruncatedConcepts(const Context &Ctx,
                                          std::vector<Concept> Concepts,
                                          size_t Cap);

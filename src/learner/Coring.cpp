@@ -7,13 +7,22 @@
 
 #include "learner/Coring.h"
 
+#include "support/Metrics.h"
+#include "support/TraceEvent.h"
+
 #include <cassert>
 
 using namespace cable;
 
+namespace {
+Metrics::Counter &Calls = Metrics::counter("learner.coring-calls");
+} // namespace
+
 Automaton cable::coreAutomaton(const CountedAutomaton &CA,
                                const EventTable &Table, double MinFraction) {
   assert(MinFraction >= 0 && MinFraction <= 1 && "fraction out of range");
+  TraceSpan Span("coring");
+  Calls.add();
   Automaton Out;
   for (size_t S = 0; S < CA.numStates(); ++S) {
     StateId Id = Out.addState();

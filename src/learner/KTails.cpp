@@ -8,6 +8,8 @@
 #include "learner/KTails.h"
 
 #include "learner/Quotient.h"
+#include "support/Metrics.h"
+#include "support/TraceEvent.h"
 
 #include <map>
 #include <set>
@@ -16,6 +18,8 @@
 using namespace cable;
 
 namespace {
+
+Metrics::Counter &Calls = Metrics::counter("learner.ktails-calls");
 
 /// The k-tail set of a PTA state: accepted suffixes of length <= K. The
 /// PTA is acyclic and deterministic, so plain recursion suffices.
@@ -43,6 +47,8 @@ std::set<std::vector<EventId>> tails(const CountedAutomaton &PTA,
 
 CountedAutomaton cable::learnKTails(const std::vector<Trace> &Traces,
                                     unsigned K) {
+  TraceSpan Span("ktails-learn", static_cast<int64_t>(Traces.size()));
+  Calls.add();
   CountedAutomaton PTA = CountedAutomaton::buildPTA(Traces);
 
   // Partition states by their k-tail sets.

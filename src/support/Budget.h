@@ -11,10 +11,10 @@
 /// Budget: a wall-clock deadline and a cap on enumerated concepts (the
 /// tools' --time-budget and --max-concepts). A BudgetMeter stamps the
 /// deadline at construction and is shared by reference across one
-/// operation; expiry is sticky.
+/// single-threaded operation; expiry is sticky.
 ///
 /// Checkpoint granularity is one closure computation (one concept), which
-/// dwarfs the cost of an atomic load plus an occasional clock sample.
+/// dwarfs the cost of a flag test plus an occasional clock sample.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,6 @@
 #include "support/Metrics.h"
 #include "support/Status.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <optional>
@@ -56,17 +55,16 @@ public:
 
   const Budget &budget() const { return Limits; }
 
-  /// True once the deadline passed. The first caller to observe an expired
-  /// clock latches the flag, so all subsequent calls are a single relaxed
-  /// atomic load.
+  /// True once the deadline passed. The first call to observe an expired
+  /// clock latches the flag, so all subsequent calls are a flag test.
   bool expired() const {
-    if (Stopped.load(std::memory_order_relaxed))
+    if (Stopped)
       return true;
     if (Deadline && std::chrono::steady_clock::now() >= *Deadline) {
       // Latching, not per-check: counts operations that tripped their
-      // deadline, and only the first observer reaches this line.
-      if (!Stopped.exchange(true, std::memory_order_relaxed))
-        Metrics::counter("budget.deadline-trips").add();
+      // deadline, once each.
+      Stopped = true;
+      Metrics::counter("budget.deadline-trips").add();
       return true;
     }
     return false;
@@ -108,7 +106,7 @@ private:
   const Budget Limits;
   const TimePoint Start;
   const std::optional<TimePoint> Deadline;
-  mutable std::atomic<bool> Stopped{false};
+  mutable bool Stopped = false;
 };
 
 } // namespace cable

@@ -14,7 +14,7 @@
 //    async-signal-safe operations — open/write/fsync/close/unlink on
 //    pre-arranged paths, memcpy into static buffers, and the three
 //    substrates' signal-safe readers (Log::copyCrashRecords,
-//    Metrics::crashIndexRead, TraceLog::crashStackRead).
+//    Metrics::crashIndexRead, TraceLog::crashStack).
 //
 // First dump wins: GDumped is an atomic exchange, so the SIGABRT raised by
 // the terminate handler's abort() cannot write a second document over the
@@ -350,29 +350,15 @@ bool CrashDump::dumpNow(const char *Reason, int Sig) {
   writeCrashRecordsArray(W);
   W.put(']');
 
-  W.puts(",\"span_stacks\":[");
-  size_t NumStacks = TraceLog::crashStackCount();
-  bool FirstStack = true;
-  for (size_t I = 0; I < NumStacks; ++I) {
-    TraceLog::CrashStackView V;
-    if (!TraceLog::crashStackRead(I, V))
-      continue;
-    if (!FirstStack)
+  // One element: Cable records on one thread, exported as tid 1, "main".
+  W.puts(",\"span_stacks\":[{\"tid\":1,\"thread\":\"main\",\"stack\":[");
+  TraceLog::CrashStackView V = TraceLog::crashStack();
+  for (uint32_t F = 0; F < V.Depth; ++F) {
+    if (F > 0)
       W.put(',');
-    FirstStack = false;
-    W.puts("{\"tid\":");
-    W.putU64(V.Tid);
-    W.puts(",\"thread\":");
-    W.putQuoted(V.ThreadName);
-    W.puts(",\"stack\":[");
-    for (uint32_t F = 0; F < V.Depth; ++F) {
-      if (F > 0)
-        W.put(',');
-      W.putQuoted(V.Frames + F * TraceLog::kCrashStackNameBytes);
-    }
-    W.puts("]}");
+    W.putQuoted(V.Frames + F * TraceLog::kCrashStackNameBytes);
   }
-  W.put(']');
+  W.puts("]}]");
 
   W.puts(",\"metrics\":");
   writeCrashMetricsObject(W);
@@ -468,8 +454,9 @@ void CrashDump::writeArtifactsFromSignal(int ExitCode) {
     int Fd = ::open(GLogOut, O_CREAT | O_WRONLY | O_TRUNC, 0644);
     if (Fd >= 0) {
       SigWriter W(Fd);
-      // Reduced header: no drain (locks), so records come from the crash
-      // ring — the last events, which is what an interrupted run can give.
+      // Reduced header: the structured ring is not signal-safe to drain,
+      // so records come from the crash ring — the last events, which is
+      // what an interrupted run can give.
       W.puts("{\"schema\":\"cable-log/1\",");
       W.puts(GStamp);
       W.puts(",\"pid\":");

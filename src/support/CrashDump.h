@@ -13,8 +13,8 @@
 ///
 /// The dump carries everything a post-mortem needs and nothing that
 /// requires a live process: the last-N structured log records (from
-/// Log's pre-rendered crash ring), the active span stack of every thread
-/// (TraceLog's fixed-storage stacks), a metrics snapshot (the crash
+/// Log's pre-rendered crash ring), the open spans of the one recording
+/// thread (TraceLog's fixed-storage stack), a metrics snapshot (the crash
 /// index: counters, gauge value/high, histogram count/sum/max), and the
 /// BuildInfo stamp. Everything on the dump path is arranged at install
 /// time — the output fd is pre-opened, the document prefix is

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 
 using namespace cable;
 
@@ -33,7 +32,6 @@ struct ArmedPoint {
 };
 
 struct Registry {
-  std::mutex Mutex;
   std::map<std::string, ArmedPoint, std::less<>> Armed;
   std::vector<std::string> Registered;
 };
@@ -49,13 +47,11 @@ Registry &registry() {
 
 Failpoint::Registrar::Registrar(const char *Name) {
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
   R.Registered.emplace_back(Name);
 }
 
 std::vector<std::string> Failpoint::registeredNames() {
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
   std::vector<std::string> Names = R.Registered;
   std::sort(Names.begin(), Names.end());
   Names.erase(std::unique(Names.begin(), Names.end()), Names.end());
@@ -64,14 +60,12 @@ std::vector<std::string> Failpoint::registeredNames() {
 
 uint64_t Failpoint::hitCount(std::string_view Name) {
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
   auto It = R.Armed.find(Name);
   return It == R.Armed.end() ? 0 : It->second.Hits;
 }
 
 void Failpoint::reset() {
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
   R.Armed.clear();
   NumArmed.store(0, std::memory_order_relaxed);
 }
@@ -113,7 +107,6 @@ Status Failpoint::configure(std::string_view Spec) {
   }
 
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
   R.Armed = std::move(Armed);
   NumArmed.store(static_cast<uint32_t>(R.Armed.size()),
                  std::memory_order_relaxed);
@@ -129,7 +122,6 @@ Status Failpoint::configureFromEnv() {
 
 Status Failpoint::hitSlow(const char *Name) {
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
   auto It = R.Armed.find(std::string_view(Name));
   if (It == R.Armed.end())
     return Status::ok();

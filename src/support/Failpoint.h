@@ -29,6 +29,9 @@
 /// can enumerate every instrumented point (`cable-cli --list-failpoints`)
 /// without grepping the source.
 ///
+/// The registry takes no lock: like Log and TraceLog, failpoints are
+/// configured and hit on the one thread that runs a Cable process.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CABLE_SUPPORT_FAILPOINT_H

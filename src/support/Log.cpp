@@ -10,11 +10,11 @@
 #include "support/AtomicFile.h"
 #include "support/BuildInfo.h"
 
-#include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
+#include <thread>
 
 #include <unistd.h>
 
@@ -24,68 +24,44 @@ std::atomic<unsigned> Log::Armed{0};
 
 namespace {
 
-std::atomic<uint8_t> MinLevel{static_cast<uint8_t>(Log::Level::Info)};
-std::atomic<uint64_t> NextSeq{0};
-
-/// One thread's bounded record ring. Appends are lock-free against every
-/// other thread's appends; the mutex only serializes this thread's
-/// appender against the exporter, exactly like TraceLog's span rings.
-struct ThreadRing {
-  std::mutex Mutex;
-  uint32_t Tid = 0;
+/// The structured record ring. Only the emitting thread touches it, and it
+/// takes records in seq order, so the oldest survivor sits at the cursor.
+struct RecordRing {
+  Log::Level MinLevel = Log::Level::Info;
+  uint64_t LastSeq = 0;
   std::vector<Log::Record> Ring;
-  size_t Capacity = 0;
-  size_t Next = 0;
-  uint64_t Total = 0;
+  size_t Next = 0; ///< Ring insertion cursor.
   uint64_t Dropped = 0;
-};
-
-struct Global {
-  std::mutex Mutex;
-  std::vector<ThreadRing *> Rings; ///< leaked; a ring outlives its thread
-  uint32_t NextTid = 1;
-  size_t RingCapacity = 4096;
   std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();
 };
 
 /// Intentionally leaked: records may be appended from static destructors.
-Global &global() {
-  static Global *G = new Global;
-  return *G;
+RecordRing &ring() {
+  static RecordRing *R = new RecordRing;
+  return *R;
 }
 
-thread_local ThreadRing *MyRing = nullptr;
-
-ThreadRing *myRing() {
-  if (MyRing)
-    return MyRing;
-  Global &G = global();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  auto *R = new ThreadRing; // leaked with the registry
-  R->Tid = G.NextTid++;
-  R->Capacity = G.RingCapacity;
-  G.Rings.push_back(R);
-  MyRing = R;
-  return R;
+/// The one-thread contract: the first thread to emit owns the log.
+[[maybe_unused]] bool onRecordingThread() {
+  static const std::thread::id Owner = std::this_thread::get_id();
+  return std::this_thread::get_id() == Owner;
 }
 
 uint64_t nowUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - global().Epoch)
+          std::chrono::steady_clock::now() - ring().Epoch)
           .count());
 }
 
 //===----------------------------------------------------------------------===//
 // Crash ring: fully rendered JSON object lines in fixed storage, readable
-// from a signal handler while other threads keep writing. Each slot is a
-// seqlock: the writer claims it by swapping an older even stamp for
-// 2*idx+1 (odd: mid-copy), fills the text, then stamps 2*idx+2; the
-// reader accepts a slot only when it reads the even stamp before *and*
-// after the copy. Writers whose indices differ by kCrashSlots share a
-// slot, so a writer that finds it held (odd) or already newer drops its
-// line rather than copy over another writer's text.
+// from a signal handler that interrupts the emitting thread. Each slot is
+// stamped with its line index: odd (2*idx+1) while emit copies into it,
+// even (2*idx+2) once the line is whole. The signal fences keep the
+// compiler from moving the copy across either stamp, so a handler that
+// lands mid-copy sees an odd stamp and skips the slot.
 //===----------------------------------------------------------------------===//
 
 constexpr size_t kCrashSlots = 64;
@@ -103,18 +79,15 @@ std::atomic<uint64_t> GCrashNext{0};
 void crashRingAppend(const char *Line, size_t Len) {
   if (Len == 0 || Len > kCrashSlotBytes)
     return; // an over-long line is dropped, never truncated mid-JSON
-  uint64_t Idx = GCrashNext.fetch_add(1, std::memory_order_relaxed);
+  uint64_t Idx = GCrashNext.load(std::memory_order_relaxed);
   CrashSlot &S = GCrashRing[Idx % kCrashSlots];
-  uint64_t Prev = S.State.load(std::memory_order_relaxed);
-  if ((Prev & 1) || Prev > 2 * Idx ||
-      !S.State.compare_exchange_strong(Prev, 2 * Idx + 1,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed))
-    return; // the ring is best-effort: drop rather than tear
-  std::atomic_thread_fence(std::memory_order_release);
+  S.State.store(2 * Idx + 1, std::memory_order_relaxed);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
   std::memcpy(S.Text, Line, Len);
   S.Len = static_cast<uint32_t>(Len);
-  S.State.store(2 * Idx + 2, std::memory_order_release);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  S.State.store(2 * Idx + 2, std::memory_order_relaxed);
+  GCrashNext.store(Idx + 1, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -159,8 +132,7 @@ void renderRecordJson(std::string &Out, const Log::Record &R, int Pid) {
   Out += std::to_string(R.Seq);
   Out += ",\"pid\":";
   Out += std::to_string(Pid);
-  Out += ",\"tid\":";
-  Out += std::to_string(R.Tid);
+  Out += ",\"tid\":1";
   Out += ",\"t_us\":";
   Out += std::to_string(R.TimeUs);
   Out += ",\"level\":\"";
@@ -199,7 +171,7 @@ void renderRecordJson(std::string &Out, const Log::Record &R, int Pid) {
 
 void Log::setEnabled(bool On) {
   if (On) {
-    (void)global(); // pin the registry before any emit
+    (void)ring(); // pin the epoch before any emit
     Armed.fetch_or(kStructuredBit, std::memory_order_relaxed);
   } else {
     Armed.fetch_and(~kStructuredBit, std::memory_order_relaxed);
@@ -208,20 +180,16 @@ void Log::setEnabled(bool On) {
 
 void Log::setCrashCapture(bool On) {
   if (On) {
-    (void)global();
+    (void)ring();
     Armed.fetch_or(kCrashBit, std::memory_order_relaxed);
   } else {
     Armed.fetch_and(~kCrashBit, std::memory_order_relaxed);
   }
 }
 
-void Log::setLevel(Level L) {
-  MinLevel.store(static_cast<uint8_t>(L), std::memory_order_relaxed);
-}
+void Log::setLevel(Level L) { ring().MinLevel = L; }
 
-Log::Level Log::level() {
-  return static_cast<Level>(MinLevel.load(std::memory_order_relaxed));
-}
+Log::Level Log::level() { return ring().MinLevel; }
 
 bool Log::parseLevel(std::string_view Text, Level &Out) {
   if (Text == "debug")
@@ -255,93 +223,57 @@ void Log::emit(Level L, std::string_view Subsystem, std::string_view Event,
                std::string_view Msg, std::initializer_list<Field> Fields) {
   if (!enabled())
     return;
-  if (static_cast<uint8_t>(L) < MinLevel.load(std::memory_order_relaxed))
+  assert(onRecordingThread() && "Log emits on one thread only");
+  RecordRing &R = ring();
+  if (L < R.MinLevel)
     return;
 
-  ThreadRing *R = myRing();
   Record Rec;
-  Rec.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed) + 1;
+  Rec.Seq = ++R.LastSeq;
   Rec.TimeUs = nowUs();
   Rec.Lvl = L;
   Rec.Event = std::string(Event);
   Rec.Subsystem = std::string(Subsystem);
   Rec.Msg = std::string(Msg);
   Rec.Fields.assign(Fields.begin(), Fields.end());
-  Rec.Tid = R->Tid;
 
-  // Crash ring first: even if the structured store below is never
-  // drained, a dying process keeps its last events.
+  // Crash ring first: even if the structured ring below is never drained,
+  // a dying process keeps its last events.
   std::string Line;
   renderRecordJson(Line, Rec, ::getpid());
   crashRingAppend(Line.data(), Line.size());
 
-  std::lock_guard<std::mutex> Lock(R->Mutex);
-  if (R->Ring.size() < R->Capacity) {
-    R->Ring.push_back(std::move(Rec));
+  if (!(Armed.load(std::memory_order_relaxed) & kStructuredBit))
+    return;
+  if (R.Ring.size() < kRingCapacity) {
+    R.Ring.push_back(std::move(Rec));
   } else {
-    if (R->Capacity == 0)
-      return;
-    R->Ring[R->Next % R->Capacity] = std::move(Rec);
-    ++R->Dropped;
+    R.Ring[R.Next] = std::move(Rec);
+    ++R.Dropped;
   }
-  ++R->Next;
-  ++R->Total;
+  R.Next = (R.Next + 1) % kRingCapacity;
 }
 
 std::vector<Log::Record> Log::drainRecords() {
-  Global &G = global();
-  std::vector<ThreadRing *> Rings;
-  {
-    std::lock_guard<std::mutex> Lock(G.Mutex);
-    Rings = G.Rings;
-  }
+  RecordRing &R = ring();
+  size_t N = R.Ring.size();
   std::vector<Record> Out;
-  for (ThreadRing *R : Rings) {
-    std::lock_guard<std::mutex> Lock(R->Mutex);
-    size_t N = R->Ring.size();
-    if (N == 0)
-      continue;
-    // Oldest-first within the ring: entries [Next % Cap, ...) wrapped.
-    size_t Start = R->Ring.size() < R->Capacity ? 0 : R->Next % R->Capacity;
-    for (size_t I = 0; I < N; ++I)
-      Out.push_back(std::move(R->Ring[(Start + I) % N]));
-    R->Ring.clear();
-    R->Next = 0;
-  }
-  std::sort(Out.begin(), Out.end(),
-            [](const Record &A, const Record &B) { return A.Seq < B.Seq; });
+  Out.reserve(N);
+  size_t First = N < kRingCapacity ? 0 : R.Next;
+  for (size_t I = 0; I < N; ++I)
+    Out.push_back(std::move(R.Ring[(First + I) % N]));
+  R.Ring.clear();
+  R.Next = 0;
   return Out;
 }
 
-uint64_t Log::droppedCount() {
-  Global &G = global();
-  std::vector<ThreadRing *> Rings;
-  uint64_t Total = 0;
-  {
-    std::lock_guard<std::mutex> Lock(G.Mutex);
-    Rings = G.Rings;
-  }
-  for (ThreadRing *R : Rings) {
-    std::lock_guard<std::mutex> Lock(R->Mutex);
-    Total += R->Dropped;
-  }
-  return Total;
-}
+uint64_t Log::droppedCount() { return ring().Dropped; }
 
 void Log::reset() {
-  Global &G = global();
-  std::vector<ThreadRing *> Rings;
-  {
-    std::lock_guard<std::mutex> Lock(G.Mutex);
-    Rings = G.Rings;
-  }
-  for (ThreadRing *R : Rings) {
-    std::lock_guard<std::mutex> Lock(R->Mutex);
-    R->Ring.clear();
-    R->Next = 0;
-    R->Dropped = 0;
-    R->Total = 0;
-  }
+  RecordRing &R = ring();
+  R.Ring.clear();
+  R.Next = 0;
+  R.Dropped = 0;
   for (CrashSlot &S : GCrashRing) {
     S.State.store(0, std::memory_order_relaxed);
     S.Len = 0;
@@ -377,23 +309,18 @@ Status Log::writeJsonl(const std::string &Path, std::string_view Tool) {
 }
 
 size_t Log::copyCrashRecords(char *Buf, size_t Cap) {
-  uint64_t End = GCrashNext.load(std::memory_order_acquire);
+  uint64_t End = GCrashNext.load(std::memory_order_relaxed);
   uint64_t Start = End > kCrashSlots ? End - kCrashSlots : 0;
   size_t Written = 0;
   for (uint64_t Idx = Start; Idx < End; ++Idx) {
-    CrashSlot &S = GCrashRing[Idx % kCrashSlots];
-    uint64_t St = S.State.load(std::memory_order_acquire);
-    if (St != 2 * Idx + 2)
-      continue; // torn or already overwritten by a newer writer
+    const CrashSlot &S = GCrashRing[Idx % kCrashSlots];
+    if (S.State.load(std::memory_order_relaxed) != 2 * Idx + 2)
+      continue; // torn: the signal landed while emit was copying
+    std::atomic_signal_fence(std::memory_order_seq_cst);
     uint32_t Len = S.Len;
-    if (Len == 0 || Len > kCrashSlotBytes)
-      continue;
     if (Written + Len + 1 > Cap)
       break;
     std::memcpy(Buf + Written, S.Text, Len);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (S.State.load(std::memory_order_relaxed) != 2 * Idx + 2)
-      continue; // a writer raced in mid-copy; drop the torn bytes
     Written += Len;
     Buf[Written++] = '\n';
   }

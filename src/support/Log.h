@@ -13,16 +13,19 @@
 ///  - Disarmed (the default), every site is one relaxed atomic load and a
 ///    predicted branch; the CABLE_LOG_* macros skip even the field
 ///    construction. -DCABLE_NO_INSTRUMENT=ON compiles the sites out.
-///  - Armed, records land in lock-free-against-each-other per-thread
-///    overwrite-oldest rings (the per-ring mutex only serializes an
-///    appender against the exporter, mirroring TraceLog), plus a fixed
+///  - Armed, records land in one overwrite-oldest ring, plus a fixed
 ///    crash ring of pre-rendered JSON lines the flight recorder
 ///    (support/CrashDump.h) can read from a signal handler.
+///  - One thread, like TraceLog: Cable answers one user's commands on one
+///    thread, so the rings take no locks and every record carries tid 1.
+///    The first thread that emits owns the log; debug builds assert that
+///    every later emit comes from it.
 ///
 /// Two arming bits, one combined gate:
 ///
 ///  - setEnabled(true) (the `--log-out` / CABLE_LOG path) arms structured
-///    collection: records are kept for exportJsonl.
+///    collection: records are kept for exportJsonl, the newest
+///    kRingCapacity of them.
 ///  - setCrashCapture(true) (done by CrashDump::install) arms only the
 ///    crash ring, so a process with a flight recorder but no --log-out
 ///    still dies with its last events on record.
@@ -66,7 +69,7 @@ public:
 #endif
   }
 
-  static void setEnabled(bool On);      ///< Structured rings (`--log-out`).
+  static void setEnabled(bool On);      ///< Structured ring (`--log-out`).
   static void setCrashCapture(bool On); ///< Crash ring only (flight recorder).
 
   /// Records below the threshold are dropped at the emit site. Default
@@ -100,8 +103,11 @@ public:
     std::string Subsystem; ///< kebab-case subsystem (cache, journal, ...)
     std::string Msg;       ///< human prose, no contract
     std::vector<Field> Fields;
-    uint32_t Tid = 0;
   };
+
+  /// Records the structured ring keeps; older ones are overwritten and
+  /// counted by droppedCount().
+  static constexpr size_t kRingCapacity = 4096;
 
   /// Appends a record (when armed and at/above the level threshold).
   /// Prefer the CABLE_LOG_* macros, which skip argument construction when
@@ -113,23 +119,23 @@ public:
   /// Removes and returns every buffered record, ordered by seq.
   static std::vector<Record> drainRecords();
 
-  /// Records overwritten in the rings since process start (or reset()).
+  /// Records overwritten in the ring since process start (or reset()).
   static uint64_t droppedCount();
 
-  /// Drops every buffered record, in the rings and the crash ring, and
-  /// zeroes the drop counters; thread ids and the sequence counter
-  /// persist (test isolation).
+  /// Drops every buffered record, in the ring and the crash ring, and
+  /// zeroes the drop count; the sequence counter persists (test
+  /// isolation).
   static void reset();
 
   /// The `cable-log/1` JSONL document: header line then records ordered
-  /// by seq. Drains the rings.
+  /// by seq. Drains the ring.
   static std::string exportJsonl(std::string_view Tool);
   static Status writeJsonl(const std::string &Path, std::string_view Tool);
 
   /// Async-signal-safe: copies the crash ring's pre-rendered JSON object
   /// lines, oldest first, newline-separated, into \p Buf. Returns bytes
-  /// written. Torn slots (a writer was mid-copy when the signal landed)
-  /// are skipped, never emitted half-written.
+  /// written. A torn slot (the signal landed while emit was copying into
+  /// it) is skipped, never emitted half-written.
   static size_t copyCrashRecords(char *Buf, size_t Cap);
 
 private:

@@ -9,25 +9,26 @@
 /// Scoped RAII tracing spans exported as Chrome trace-event JSON, so a
 /// whole cable-cli or spec-lint run can be opened in chrome://tracing or
 /// Perfetto and read like a flame chart: lattice construction, journal
-/// fsyncs, session commands — each on the thread that actually executed
-/// it.
+/// fsyncs, session commands.
 ///
 ///   { TraceSpan Span("lattice-build"); buildLattice(...); }
 ///
 /// Design:
 ///
+///  - One thread. Cable answers one user's commands on one thread, and
+///    the recorder is built for exactly that: one span ring and one span
+///    stack, no locks, no thread ids. The first thread that records owns
+///    the recorder; debug builds assert that every later span closes on
+///    it. The export names that thread "main" and gives every event tid 1.
 ///  - Disarmed (the default), a span costs one relaxed atomic load; no
 ///    clock sample, no allocation. Arm with TraceLog::setEnabled(true)
 ///    (done by `--trace-out`).
-///  - Armed, each completed span appends one event to a ring buffer owned
-///    by its thread (a per-thread mutex serializes only against the
-///    exporter, never other recording threads). When a ring fills, the
-///    oldest events are overwritten and counted as dropped — tracing
-///    never grows without bound and never blocks the pipeline.
+///  - Armed, each completed span appends one event to the ring. When the
+///    ring fills, the oldest events are overwritten and counted as
+///    dropped: tracing never grows without bound and never blocks the
+///    pipeline.
 ///  - Timestamps are steady-clock microseconds relative to the first
-///    armed use in the process; thread ids are small dense integers
-///    assigned in first-use order, with optional human names
-///    (TraceLog::setThreadName) emitted as metadata events.
+///    armed use in the process.
 ///
 /// The export format is the Chrome trace-event JSON object form:
 /// {"traceEvents": [...], "otherData": {...build info...}} with "X"
@@ -49,7 +50,7 @@
 
 namespace cable {
 
-/// Process-wide span log.
+/// Process-wide span log. Single-threaded: see the file comment.
 class TraceLog {
 public:
   /// True when span recording is armed (the TraceSpan fast-path gate).
@@ -63,9 +64,6 @@ public:
 
   static void setEnabled(bool On);
 
-  /// Names the calling thread in the exported trace (e.g. "main").
-  static void setThreadName(std::string Name);
-
   /// Renders every recorded span as a Chrome trace-event JSON document.
   /// \p ToolName goes into otherData along with the build stamp.
   static std::string exportJson(std::string_view ToolName);
@@ -73,28 +71,28 @@ public:
   /// exportJson written atomically to \p Path (AtomicFile).
   static Status writeJson(const std::string &Path, std::string_view ToolName);
 
-  /// Total spans recorded (across all threads, including overwritten).
+  /// Total spans recorded, including overwritten ones.
   static uint64_t spanCount();
 
   /// Spans lost to ring-buffer wraparound.
   static uint64_t droppedCount();
 
-  /// Drops every recorded span and resets drop counters; thread ids and names persist. Ring capacity changes take
-  /// effect for rings created after the call (test isolation).
+  /// Drops every recorded span and resets the span and drop counts (test
+  /// isolation).
   static void reset();
 
-  /// Per-thread ring capacity in events for rings created afterwards
-  /// (default 65536). Minimum 4.
+  /// Sets the ring capacity in events (default 65536, minimum 4) and, like
+  /// reset(), drops every recorded span.
   static void setRingCapacity(size_t Events);
 
   //===--------------------------------------------------------------------===//
-  // Active-span stacks (the flight recorder's "where was every thread").
+  // The active-span stack (the flight recorder's "what was running").
   //
   // Armed by CrashDump::install via setStackCapture: each live TraceSpan
-  // pushes its name onto a fixed-storage per-thread stack at construction
-  // and pops at destruction, so a fatal-signal dump can report the active
-  // span stack of every thread without touching the heap. Disarmed (the
-  // default) the cost is one extra relaxed load per span.
+  // pushes its name onto one fixed-storage stack at construction and pops
+  // at destruction, so a fatal-signal dump can report the open spans
+  // without touching the heap. Disarmed (the default) the cost is one
+  // extra relaxed load per span.
   //===--------------------------------------------------------------------===//
 
   static constexpr size_t kCrashStackMaxDepth = 24;
@@ -109,22 +107,18 @@ public:
   }
   static void setStackCapture(bool On);
 
-  /// One thread's active spans, read async-signal-safely: \p Frames
-  /// points at \p Depth NUL-terminated names spaced kCrashStackNameBytes
-  /// apart, innermost last. The storage is fixed and never freed; a
-  /// racing push/pop can at worst show a stale frame, never a torn
-  /// pointer.
+  /// The open spans: \p Frames points at \p Depth NUL-terminated names
+  /// spaced kCrashStackNameBytes apart, outermost first. The storage is
+  /// static and never freed.
   struct CrashStackView {
-    uint32_t Tid = 0;
-    const char *ThreadName = nullptr; ///< may be empty, never null
     uint32_t Depth = 0;
     const char *Frames = nullptr;
   };
 
-  /// Async-signal-safe: number of registered per-thread stacks.
-  static size_t crashStackCount();
-  /// Async-signal-safe: fills \p Out for stack \p I (< crashStackCount()).
-  static bool crashStackRead(size_t I, CrashStackView &Out);
+  /// Async-signal-safe: the open spans as a handler interrupting the
+  /// recording thread sees them. A push the signal interrupted is not yet
+  /// counted; a pop it interrupted may still show its frame.
+  static CrashStackView crashStack();
 
 private:
   friend class TraceSpan;
@@ -138,8 +132,8 @@ private:
   static std::atomic<bool> StacksArmed;
 };
 
-/// One scoped span. Records [construction, destruction) on the current
-/// thread when tracing is armed; otherwise costs one relaxed load.
+/// One scoped span. Records [construction, destruction) when tracing is
+/// armed; otherwise costs one relaxed load.
 class TraceSpan {
 public:
   explicit TraceSpan(std::string_view Name) : TraceSpan(Name, 0, false) {}

@@ -162,9 +162,9 @@ bool CommandInterpreter::apply(const std::vector<std::string> &Args,
   const std::string &Cmd = Args[0];
 
   // One span per session command; the name is only materialized when
-  // tracing is armed.
+  // tracing or the flight recorder's span stack is armed.
   std::string SpanName;
-  if (TraceLog::enabled())
+  if (TraceLog::enabled() || TraceLog::stackCaptureEnabled())
     SpanName = "cmd " + Cmd;
   TraceSpan Span(SpanName);
   Metrics::counter("cli.commands").add();

@@ -176,10 +176,8 @@ std::optional<int> Tool::parse(std::initializer_list<ToolFlag> Own) {
   // from session setup are captured.
   if (PrintStats || !MetricsOut.empty() || !RunReportOut.empty())
     Metrics::setEnabled(true);
-  if (!TraceOut.empty()) {
+  if (!TraceOut.empty())
     TraceLog::setEnabled(true);
-    TraceLog::setThreadName("main");
-  }
   if (!LogOut.empty())
     Log::setEnabled(true);
   // The flight recorder (a no-op without $CABLE_CRASH_DIR) and the

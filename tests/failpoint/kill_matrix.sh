@@ -70,8 +70,22 @@ HAVE_PY=0
 command -v python3 > /dev/null 2>&1 && HAVE_PY=1
 CHECK_OBS=$(cd "$(dirname "$0")/../integration" && pwd)/check_observability.py
 
+# The spans open when a crash case fires, outermost first, for the cases
+# whose stack the session script fixes: a crash inside nested library
+# spans, inside a journal snapshot, and inside a command (`save mid.labels`
+# is the third atomic-file write). The dump must list exactly these.
+expected_spans() { # expected_spans <tag>: one span per line
+  case $1 in
+    lattice-oom=crash@1)
+      printf '%s\n' session-init lattice-build next-closure-enumerate ;;
+    journal-snapshot=crash@1) printf '%s\n' journal-snapshot ;;
+    atomicfile-write=crash@3) printf '%s\n' "cmd save" ;;
+  esac
+}
+
 assert_dump() { # assert_dump <tag> <failpoint> -> sets fail on violation
-  local tag=$1 p=$2 dump
+  local tag=$1 p=$2 dump span
+  local -a span_args=()
   # A SIGKILLed process leaves the pre-opened file empty; a crash that
   # went through the dumper leaves a nonempty document.
   dump=$(find D -name 'crash.*.json' -size +0c 2>/dev/null | head -1)
@@ -80,10 +94,13 @@ assert_dump() { # assert_dump <tag> <failpoint> -> sets fail on violation
     fail=1
     return
   fi
+  while IFS= read -r span; do
+    span_args+=(--expect-span "$span")
+  done < <(expected_spans "$tag")
   if [ "$HAVE_PY" = 1 ] &&
      ! python3 "$CHECK_OBS" --crashdump "$dump" --expect-failpoint "$p" \
-         > dumpcheck.out 2>&1; then
-    say "FAIL $tag: crash dump $dump does not identify failpoint $p"
+         ${span_args[@]+"${span_args[@]}"} > dumpcheck.out 2>&1; then
+    say "FAIL $tag: crash dump $dump does not identify failpoint $p and its open spans"
     cat dumpcheck.out
     fail=1
   fi

@@ -8,15 +8,19 @@ Usage:
   check_observability.py TRACE METRICS REPORT
   check_observability.py --log FILE
   check_observability.py --crashdump FILE [--expect-failpoint NAME]
+                         [--expect-span NAME ...]
 
 With --log the file must be cable-log/1 JSONL: a header object followed
 by records from the header's pid with strictly increasing sequence
 numbers.
 
-With --crashdump the file must be one cable-crashdump/1 JSON document;
+With --crashdump the file must be one cable-crashdump/1 JSON document
+whose span_stacks holds the one recording thread (tid 1, "main").
 --expect-failpoint NAME additionally requires the captured log tail to
 end in a failpoint-crash record naming that failpoint — the black box
-must identify what killed the process.
+must identify what killed the process. Each --expect-span NAME names one
+span that was open at the crash, outermost first; together they must be
+that thread's whole stack.
 
 Exits non-zero with a message on the first violated invariant.
 """
@@ -49,8 +53,8 @@ def check_log(path):
         if key not in header:
             fail("log header missing %r" % key)
     # A signal-interrupted run writes the header from the async-signal-safe
-    # dumper, which cannot take the locks droppedCount needs; only those
-    # headers may omit the counter.
+    # dumper, which reads only the crash ring; only those headers may omit
+    # the counter.
     if "dropped" not in header and not header.get("interrupted"):
         fail("log header missing 'dropped'")
     if header.get("dropped", 0) < 0:
@@ -78,8 +82,9 @@ def check_log(path):
           % (len(records), header.get("dropped", "?")))
 
 
-def check_crashdump(path, expect_failpoint):
-    """One cable-crashdump/1 document; optionally pin the cause."""
+def check_crashdump(path, expect_failpoint, expect_spans):
+    """One cable-crashdump/1 document; optionally pin the cause and the
+    open spans."""
     try:
         dump = json.load(open(path))
     except ValueError as e:
@@ -101,6 +106,13 @@ def check_crashdump(path, expect_failpoint):
     for rec in dump["log_records"]:
         if "event" not in rec or "seq" not in rec:
             fail("malformed captured log record %r" % rec)
+    stacks = dump["span_stacks"]
+    if (len(stacks) != 1 or stacks[0].get("tid") != 1
+            or stacks[0].get("thread") != "main"
+            or not isinstance(stacks[0].get("stack"), list)):
+        fail("span_stacks is not the one main thread's stack: %r" % stacks)
+    if expect_spans and stacks[0]["stack"] != expect_spans:
+        fail("open spans %r, expected %r" % (stacks[0]["stack"], expect_spans))
     if expect_failpoint:
         crash_recs = [r for r in dump["log_records"]
                       if r["event"] == "failpoint-crash"]
@@ -111,8 +123,8 @@ def check_crashdump(path, expect_failpoint):
             fail("crash record names failpoint %r, expected %r"
                  % (name, expect_failpoint))
     print("check_observability: OK (crash dump: reason %s, %d log records, "
-          "%d span stacks)" % (dump["reason"], len(dump["log_records"]),
-                               len(dump["span_stacks"])))
+          "open spans %r)" % (dump["reason"], len(dump["log_records"]),
+                              stacks[0]["stack"]))
 
 
 def main():
@@ -123,14 +135,20 @@ def main():
         return
     if len(sys.argv) > 1 and sys.argv[1] == "--crashdump":
         if len(sys.argv) < 3:
-            fail("usage: --crashdump FILE [--expect-failpoint NAME]")
-        expect = None
-        if "--expect-failpoint" in sys.argv[3:]:
-            at = sys.argv.index("--expect-failpoint")
-            if at + 1 >= len(sys.argv):
-                fail("--expect-failpoint needs a name")
-            expect = sys.argv[at + 1]
-        check_crashdump(sys.argv[2], expect)
+            fail("usage: --crashdump FILE [--expect-failpoint NAME] "
+                 "[--expect-span NAME ...]")
+        expect, spans = None, []
+        opts = sys.argv[3:]
+        for at in range(0, len(opts), 2):
+            if opts[at] not in ("--expect-failpoint", "--expect-span"):
+                fail("unknown option %r" % opts[at])
+            if at + 1 >= len(opts):
+                fail("%s needs a name" % opts[at])
+            if opts[at] == "--expect-failpoint":
+                expect = opts[at + 1]
+            else:
+                spans.append(opts[at + 1])
+        check_crashdump(sys.argv[2], expect, spans)
         return
 
     if len(sys.argv) != 4:

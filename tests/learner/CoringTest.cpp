@@ -6,6 +6,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "learner/Coring.h"
+#include "learner/KTails.h"
+#include "support/Metrics.h"
+#include "support/TraceEvent.h"
 
 #include "../TestHelpers.h"
 
@@ -59,4 +62,33 @@ TEST(CoringTest, FullThresholdKeepsOnlyDominantPath) {
   Automaton FA = coreAutomaton(PTA, TS.table(), 0.5);
   EXPECT_TRUE(FA.accepts(makeTrace(TS.table(), "a"), TS.table()));
   EXPECT_FALSE(FA.accepts(makeTrace(TS.table(), "b"), TS.table()));
+}
+
+TEST(CoringTest, KTailsAndCoringTickOncePerCall) {
+  TraceSet TS = parseTraces("open close\nopen close\nopen leak\n");
+  bool WasEnabled = Metrics::enabled();
+  Metrics::setEnabled(true);
+  TraceLog::reset();
+  TraceLog::setEnabled(true);
+  auto Value = [](const char *Name) { return Metrics::counterValue(Name); };
+  uint64_t KTails = Value("learner.ktails-calls");
+  uint64_t Coring = Value("learner.coring-calls");
+
+  CountedAutomaton CA = learnKTails(TS.traces(), 1);
+  EXPECT_EQ(Value("learner.ktails-calls") - KTails, 1u);
+  EXPECT_EQ(Value("learner.coring-calls") - Coring, 0u);
+  coreAutomaton(CA, TS.table(), 0.5);
+  coreAutomaton(CA, TS.table(), 0.0);
+  EXPECT_EQ(Value("learner.ktails-calls") - KTails, 1u);
+  EXPECT_EQ(Value("learner.coring-calls") - Coring, 2u);
+
+  // One span per call; the k-tails span carries the trace count.
+  EXPECT_EQ(TraceLog::spanCount(), 3u);
+  std::string Json = TraceLog::exportJson("coring-test");
+  EXPECT_NE(Json.find("\"ktails-learn\""), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"n\": 3"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"coring\""), std::string::npos) << Json;
+  TraceLog::setEnabled(false);
+  TraceLog::reset();
+  Metrics::setEnabled(WasEnabled);
 }

@@ -5,10 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// This file lives in cable_concurrency_tests so the concurrent-emit test runs
-// under -DCABLE_SANITIZE=thread: the armed path's contract is per-thread
-// rings that are lock-free against each other, which TSan verifies has no
-// data race rather than a benign one.
+// The log is single-threaded (support/Log.h), so every test here emits on
+// the test's own thread.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace cable;
@@ -78,7 +75,6 @@ TEST_F(LogTest, ArmedRecordsCarryMonotonicSeqAndFields) {
   EXPECT_LT(Recs[1].Seq, Recs[2].Seq);
   EXPECT_EQ(Recs[0].Event, "cache-miss");
   EXPECT_EQ(Recs[0].Subsystem, "cache");
-  EXPECT_GT(Recs[0].Tid, 0u);
   ASSERT_EQ(Recs[0].Fields.size(), 2u);
   EXPECT_EQ(Recs[0].Fields[0].Key, "key");
   EXPECT_EQ(Recs[0].Fields[0].Value, "k1");
@@ -156,22 +152,48 @@ TEST_F(LogTest, CrashRingCapturesParseableLinesWithoutStructuredArming) {
   EXPECT_EQ(Log::copyCrashRecords(Buf, 8), 0u);
 }
 
-TEST_F(LogTest, ConcurrentEmittersKeepDistinctSeqs) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 64;
-  std::vector<std::thread> Workers;
-  for (int T = 0; T < kThreads; ++T)
-    Workers.emplace_back([T] {
-      for (int I = 0; I < kPerThread; ++I)
-        CABLE_LOG_INFO("test", "test-concurrent", "t" + std::to_string(T));
-    });
-  for (std::thread &W : Workers)
-    W.join();
+TEST_F(LogTest, EmittersKeepDistinctOrderedSeqs) {
+  for (int I = 0; I < 256; ++I)
+    CABLE_LOG_INFO("test", "test-seq", "record " + std::to_string(I));
+  std::string Doc = Log::exportJsonl("cable-cli");
+  std::vector<std::string> Lines = lines(Doc);
+  ASSERT_EQ(Lines.size(), 257u); // header + records
+  uint64_t Last = 0;
+  for (size_t I = 1; I < Lines.size(); ++I) {
+    const std::string &L = Lines[I];
+    ASSERT_EQ(L.rfind("{\"seq\":", 0), 0u) << L;
+    uint64_t Seq = std::stoull(L.substr(7));
+    EXPECT_LT(Last, Seq) << L; // distinct, in emit order
+    Last = Seq;
+    // The one recording thread is tid 1.
+    EXPECT_NE(L.find(",\"tid\":1,"), std::string::npos) << L;
+  }
+}
+
+/// A full ring overwrites its oldest records: the drain returns the newest
+/// kRingCapacity in increasing seq order, and the overwritten ones are
+/// counted, in droppedCount() and the cable-log/1 header.
+TEST_F(LogTest, RingWraparoundKeepsNewestInSeqOrder) {
+  constexpr size_t K = 5;
+  for (size_t I = 0; I < Log::kRingCapacity + K; ++I)
+    CABLE_LOG_INFO("test", "test-wrap", std::to_string(I));
+  EXPECT_EQ(Log::droppedCount(), K);
 
   std::vector<Log::Record> Recs = Log::drainRecords();
-  ASSERT_EQ(Recs.size(), static_cast<size_t>(kThreads * kPerThread));
-  for (size_t I = 1; I < Recs.size(); ++I)
-    EXPECT_LT(Recs[I - 1].Seq, Recs[I].Seq); // drained sorted, all unique
+  ASSERT_EQ(Recs.size(), Log::kRingCapacity);
+  for (size_t I = 0; I < Recs.size(); ++I) {
+    EXPECT_EQ(Recs[I].Msg, std::to_string(K + I));
+    if (I > 0) {
+      EXPECT_LT(Recs[I - 1].Seq, Recs[I].Seq);
+    }
+  }
+
+  // Draining keeps the drop count for the export header.
+  std::vector<std::string> Lines = lines(Log::exportJsonl("cable-cli"));
+  ASSERT_EQ(Lines.size(), 1u);
+  EXPECT_NE(Lines[0].find("\"dropped\":" + std::to_string(K) + "}"),
+            std::string::npos)
+      << Lines[0];
 }
 
 } // namespace

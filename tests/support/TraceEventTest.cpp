@@ -4,6 +4,11 @@
 // Concept Analysis" (PLDI 2003). MIT license.
 //
 //===----------------------------------------------------------------------===//
+//
+// The recorder is single-threaded (support/TraceEvent.h), so every test here
+// records on the test's own thread.
+//
+//===----------------------------------------------------------------------===//
 
 #include "support/Json.h"
 #include "support/Metrics.h"
@@ -11,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <cctype>
 
 using namespace cable;
 
@@ -39,7 +44,6 @@ TEST_F(TraceEventTest, DisarmedSpansRecordNothing) {
 }
 
 TEST_F(TraceEventTest, ExportIsValidChromeTraceJson) {
-  TraceLog::setThreadName("test-main");
   { TraceSpan Span("outer-span", 42); }
   std::string Json = TraceLog::exportJson("trace-test");
   std::string Error;
@@ -50,9 +54,9 @@ TEST_F(TraceEventTest, ExportIsValidChromeTraceJson) {
   EXPECT_NE(Json.find("\"outer-span\""), std::string::npos);
   // The integer argument is exported as args.n.
   EXPECT_NE(Json.find("\"n\": 42"), std::string::npos) << Json;
-  // Thread-name metadata event.
+  // Thread-name metadata event: the one recording thread is "main".
   EXPECT_NE(Json.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(Json.find("\"test-main\""), std::string::npos);
+  EXPECT_NE(Json.find("\"main\""), std::string::npos);
 }
 
 TEST_F(TraceEventTest, NestedSpansBothRecorded) {
@@ -73,46 +77,48 @@ TEST_F(TraceEventTest, NestedSpansBothRecorded) {
 
 TEST_F(TraceEventTest, RingWraparoundCountsDropped) {
   TraceLog::setRingCapacity(4);
-  uint64_t SpansBefore = TraceLog::spanCount();
-  uint64_t DroppedBefore = TraceLog::droppedCount();
-  // Capacity changes apply to rings created after the call, so record
-  // from a fresh thread.
-  std::thread Recorder([] {
-    for (int I = 0; I < 10; ++I)
-      TraceSpan Span("wrap-span");
-  });
-  Recorder.join();
-  EXPECT_EQ(TraceLog::spanCount() - SpansBefore, 10u);
-  EXPECT_EQ(TraceLog::droppedCount() - DroppedBefore, 6u);
-  // The export still holds the newest 4 and stays valid JSON.
+  for (int I = 0; I < 10; ++I)
+    TraceSpan Span("wrap-span", I);
+  EXPECT_EQ(TraceLog::spanCount(), 10u);
+  EXPECT_EQ(TraceLog::droppedCount(), 6u);
+  // The export holds the newest 4, oldest first, and stays valid JSON.
   std::string Json = TraceLog::exportJson("trace-test");
   std::string Error;
   EXPECT_TRUE(validateJson(Json, Error)) << Error;
-  EXPECT_NE(Json.find("\"wrap-span\""), std::string::npos);
+  EXPECT_EQ(Json.find("\"n\": 5"), std::string::npos) << Json;
+  size_t At = 0;
+  for (int I = 6; I < 10; ++I) {
+    size_t Next = Json.find("\"n\": " + std::to_string(I), At);
+    ASSERT_NE(Next, std::string::npos) << I << "\n" << Json;
+    At = Next;
+  }
 }
 
-TEST_F(TraceEventTest, SpansFromWorkerThreadsGetDistinctTids) {
-  { TraceSpan Span("main-span"); }
-  std::thread Worker([] {
-    TraceLog::setThreadName("worker-thread");
-    TraceSpan Span("worker-span");
-  });
-  Worker.join();
+TEST_F(TraceEventTest, EverySpanHasTidOne) {
+  {
+    TraceSpan Outer("tid-outer");
+    TraceSpan Inner("tid-inner");
+  }
+  { TraceSpan Later("tid-later"); }
   std::string Json = TraceLog::exportJson("trace-test");
-  EXPECT_NE(Json.find("\"main-span\""), std::string::npos);
-  EXPECT_NE(Json.find("\"worker-span\""), std::string::npos);
-  EXPECT_NE(Json.find("\"worker-thread\""), std::string::npos);
+  // Three spans plus the thread_name metadata event, all on tid 1.
+  size_t Tids = 0;
+  for (size_t At = Json.find("\"tid\": "); At != std::string::npos;
+       At = Json.find("\"tid\": ", At + 1)) {
+    ++Tids;
+    EXPECT_EQ(Json.compare(At, 8, "\"tid\": 1"), 0) << Json;
+    EXPECT_FALSE(std::isdigit(static_cast<unsigned char>(Json[At + 8])))
+        << Json;
+  }
+  EXPECT_EQ(Tids, 4u) << Json;
 }
 
 TEST_F(TraceEventTest, RingWraparoundTicksSpansDroppedCounter) {
   Metrics::reset();
   Metrics::setEnabled(true);
   TraceLog::setRingCapacity(4);
-  std::thread Recorder([] {
-    for (int I = 0; I < 10; ++I)
-      TraceSpan Span("drop-counter-span");
-  });
-  Recorder.join();
+  for (int I = 0; I < 10; ++I)
+    TraceSpan Span("drop-counter-span");
   EXPECT_EQ(Metrics::counterValue("trace.spans-dropped"), 6u);
   Metrics::setEnabled(false);
   Metrics::reset();
