@@ -17,10 +17,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "concepts/ContextReference.h"
 #include "concepts/Covers.h"
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
+#include "concepts/NextClosureReference.h"
 #include "fa/Templates.h"
 #include "support/RNG.h"
 #include "cable/Session.h"
@@ -140,7 +140,7 @@ void BM_SessionBuild(benchmark::State &State) {
       static_cast<double>(State.range(0));
 }
 
-/// NextClosure on the largest context of the sweep.
+/// The batch builder (Close-by-One) on the largest context of the sweep.
 void BM_NextClosureSerial(benchmark::State &State) {
   Context Ctx = randomContext(/*NumObjects=*/512, /*K=*/6, /*PoolSize=*/24, 42);
   size_t Concepts = 0;
@@ -172,7 +172,7 @@ void BM_ExecutedTransitions(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
-// Kernel & closure throughput probes (always emitted into the BENCH JSON;
+// Kernel & enumeration probes (always emitted into the BENCH JSON;
 // tests/bench/kernel_guard.sh gates on these sections and counters).
 //===----------------------------------------------------------------------===//
 
@@ -181,18 +181,6 @@ double median(std::vector<double> Xs) {
     return 0;
   std::sort(Xs.begin(), Xs.end());
   return Xs[Xs.size() / 2];
-}
-
-/// Contranominal scale N: the 2^N worst case; N=24 is the issue's closure
-/// throughput workload (closures over random subsets, never a full
-/// enumeration).
-Context contranominal(size_t N) {
-  Context Ctx(N, N);
-  for (size_t O = 0; O < N; ++O)
-    for (size_t A = 0; A < N; ++A)
-      if (O != A)
-        Ctx.relate(O, A);
-  return Ctx;
 }
 
 /// The §5.2 trace-workload context: \p Scenarios XtFree-style scenarios
@@ -220,46 +208,39 @@ Context xtFreeContext(size_t PoolWidth, size_t Scenarios) {
   return Ctx;
 }
 
-/// Times closeIntent over a fixed battery of random attribute subsets on
-/// the fused path and the reference path (ContextReference's per-BitVector
-/// folds), records both sections, and returns median(reference) /
-/// median(fused) — the speedup the guard and the acceptance criterion key
-/// on.
-double closureThroughputProbe(cable::bench::BenchReport &Report,
-                              const std::string &Tag, const Context &Ctx,
-                              int Samples, int Closures) {
-  RNG Rand(0x5EED + Ctx.numAttributes());
-  std::vector<BitVector> Subsets;
-  for (int I = 0; I < 64; ++I) {
-    BitVector S(Ctx.numAttributes());
-    for (size_t A = 0; A < Ctx.numAttributes(); ++A)
-      if (Rand.nextBool(0.35))
-        S.set(A);
-    Subsets.push_back(std::move(S));
-  }
-  BitVector ObjScratch(Ctx.numObjects()), Out(Ctx.numAttributes());
-  const ContextReference Ref(Ctx); // Built once, outside the timed loops.
-  std::vector<double> FusedMs, RefMs;
+/// Times the enumeration of every concept of \p Ctx on the shipped
+/// Close-by-One search (NextClosureBuilder::allClosedIntents, extents
+/// included) and on the NextClosure oracle plus one tau per intent (the
+/// enumeration every session ran before Close-by-One). Records sections
+/// enumerate-<tag> / enumerate-<tag>-ref and the counter
+/// enumerate_speedup_<tag> = median(reference) / median(search) that
+/// tests/bench/kernel_guard.sh gates on, plus the concept count and
+/// whether both produced the same intents in the same order.
+void enumerateSpeedupProbe(cable::bench::BenchReport &Report,
+                           const std::string &Tag, const Context &Ctx,
+                           int Samples) {
+  std::vector<BitVector> Intents;
+  std::vector<Concept> Reference;
+  std::vector<double> SearchMs, RefMs;
   for (int S = 0; S < Samples; ++S) {
-    FusedMs.push_back(Report.timeSample("closure-" + Tag, [&] {
-      for (int I = 0; I < Closures; ++I) {
-        Ctx.closeIntentInto(Subsets[I % Subsets.size()], ObjScratch, Out);
-        benchmark::DoNotOptimize(Out);
-      }
+    SearchMs.push_back(Report.timeSample("enumerate-" + Tag, [&] {
+      Intents = NextClosureBuilder::allClosedIntents(Ctx);
+      benchmark::DoNotOptimize(Intents.data());
     }));
-    RefMs.push_back(Report.timeSample("closure-" + Tag + "-ref", [&] {
-      for (int I = 0; I < Closures; ++I) {
-        BitVector C = Ref.closeIntent(Subsets[I % Subsets.size()]);
-        benchmark::DoNotOptimize(C);
-      }
+    RefMs.push_back(Report.timeSample("enumerate-" + Tag + "-ref", [&] {
+      Reference = NextClosureReference::concepts(Ctx);
+      benchmark::DoNotOptimize(Reference.data());
     }));
   }
-  double FusedMed = median(FusedMs), RefMed = median(RefMs);
-  Report.counter("closures_per_s_" + Tag,
-                 FusedMed > 0 ? 1e3 * Closures / FusedMed : 0);
-  double Speedup = FusedMed > 0 ? RefMed / FusedMed : 0;
-  Report.counter("closure_speedup_" + Tag, Speedup);
-  return Speedup;
+  bool Agree = Intents.size() == Reference.size();
+  for (size_t I = 0; Agree && I < Intents.size(); ++I)
+    Agree = Intents[I] == Reference[I].Intent;
+  double SearchMed = median(SearchMs), RefMed = median(RefMs);
+  Report.counter("enumerate_speedup_" + Tag,
+                 SearchMed > 0 ? RefMed / SearchMed : 0);
+  Report.counter("enumerate_concepts_" + Tag,
+                 static_cast<double>(Intents.size()));
+  Report.counter("enumerate_agree_" + Tag, Agree ? 1 : 0);
 }
 
 /// Times cover computation over the concepts of \p Ctx, both serial: the
@@ -271,13 +252,7 @@ double closureThroughputProbe(cable::bench::BenchReport &Report,
 void coverSpeedupProbe(cable::bench::BenchReport &Report,
                        const std::string &Tag, const Context &Ctx,
                        int Samples) {
-  std::vector<Concept> Concepts;
-  for (BitVector &Intent : NextClosureBuilder::allClosedIntents(Ctx)) {
-    Concept C;
-    C.Extent = Ctx.tau(Intent);
-    C.Intent = std::move(Intent);
-    Concepts.push_back(std::move(C));
-  }
+  std::vector<Concept> Concepts = NextClosureReference::concepts(Ctx);
   size_t ScanEdges = 0, CountEdges = 0;
   std::vector<double> ScanMs, CountMs;
   for (int S = 0; S < Samples; ++S) {
@@ -411,7 +386,7 @@ int main(int Argc, char **Argv) {
     coverSpeedupProbe(Report, "wide", xtFreeContext(9, 1000), Samples);
   }
 
-  // Fused-AND and closure throughput probes for the kernel regression
+  // Fused-AND throughput and enumeration probes for the kernel regression
   // guard. Sections exist in quick mode too — smaller, but the guard's
   // one-sided comparisons still hold.
   {
@@ -420,11 +395,11 @@ int main(int Argc, char **Argv) {
     int Reps = Quick ? 2000 : 20000;
     andManyThroughputProbe(Report, Samples, Reps);
 
-    int Closures = Quick ? 4000 : 40000;
-    closureThroughputProbe(Report, "contranominal24", contranominal(24),
-                           Samples, Closures);
-    closureThroughputProbe(Report, "xtfree", xtFreeContext(10, 200), Samples,
-                           Quick ? 400 : 4000);
+    enumerateSpeedupProbe(Report, "xtfree", xtFreeContext(10, 200), Samples);
+    enumerateSpeedupProbe(Report, "random512",
+                          randomContext(/*NumObjects=*/512, /*K=*/6,
+                                        /*PoolSize=*/24, 42),
+                          Samples);
   }
 
   if (!cable::bench::BenchReport::quick()) {

@@ -283,6 +283,9 @@ StatusOr<Journal> Journal::open(const std::string &DirPath, Recovery &Out) {
 }
 
 Status Journal::append(std::string_view Command) {
+  // The write-ahead append runs before the command's own span opens, so
+  // this span is what a crash dump shows while a command is made durable.
+  TraceSpan Span("journal-append");
   MetricTimer Timer(AppendUs);
   if (Status S = Failpoint::hit("journal-append"); !S.isOk())
     return S;
@@ -296,9 +299,9 @@ Status Journal::append(std::string_view Command) {
   NumAppends.add();
   BytesWritten.add(Framed.size());
   if (Policy == SyncPolicy::EveryRecord) {
+    TraceSpan FsyncSpan("journal-fsync");
     if (Status S = Failpoint::hit("journal-fsync"); !S.isOk())
       return S;
-    TraceSpan Span("journal-fsync");
     MetricTimer FsyncTimer(FsyncUs);
     if (::fsync(Fd) != 0)
       return ioError(logPath(Dir), "fsync failed");
@@ -312,9 +315,9 @@ Status Journal::append(std::string_view Command) {
 Status Journal::flush() {
   if (Fd < 0 || !Dirty)
     return Status::ok();
+  TraceSpan Span("journal-fsync");
   if (Status S = Failpoint::hit("journal-fsync"); !S.isOk())
     return S;
-  TraceSpan Span("journal-fsync");
   MetricTimer FsyncTimer(FsyncUs);
   if (::fsync(Fd) != 0)
     return ioError(logPath(Dir), "fsync failed");

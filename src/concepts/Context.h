@@ -20,14 +20,15 @@
 /// and transposed attribute-major (column a at ColArena + a * ColStride) —
 /// so sigma and tau each reduce to one fused simd::andSelectInto walking
 /// contiguous cache lines. objectRowWords()/attributeColWords() expose the
-/// arena words (GodinBuilder reads rows there; cover computation ANDs
-/// extents with columns there). closeIntentInto, NextClosure's
-/// per-candidate closure, keeps small contexts in registers; every other
-/// derivation is one sigmaInto or tauInto.
+/// arena words (GodinBuilder reads rows there; the Close-by-One search and
+/// cover computation AND extents with columns there). Every derivation is
+/// one sigmaInto or tauInto.
 ///
 /// The reference derivations (one BitVector per row and column, folded
 /// with operator&=) and clarification live in concepts/ContextReference.h,
-/// the cable_concepts_oracle target that only tests and benches link.
+/// and NextClosure's register-resident closure in
+/// concepts/NextClosureReference.h: the cable_concepts_oracle target that
+/// only tests and benches link.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,13 +88,9 @@ public:
   }
 
   /// Intent closure: sigma(tau(Attrs)).
-  BitVector closeIntent(const BitVector &Attrs) const;
-
-  /// Allocation-free intent closure: \p ObjScratch must be sized
-  /// numObjects(), \p Out numAttributes(). The builders call this once
-  /// per lectic candidate, so it must not touch the heap.
-  void closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
-                       BitVector &Out) const;
+  BitVector closeIntent(const BitVector &Attrs) const {
+    return sigma(tau(Attrs));
+  }
 
   /// The paper's similarity of a set of objects: |sigma(Objects)| (§3.1).
   size_t similarity(const BitVector &Objects) const {

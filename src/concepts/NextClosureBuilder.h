@@ -6,14 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ganter's NextClosure algorithm: enumerates all closed intents of a
-/// context in lectic order and assembles the concept lattice. It is the
-/// batch builder every Session uses (node ids follow the lectic order),
-/// and GodinBuilder is checked against it — the two must produce the same
-/// concept set.
+/// Batch lattice construction by Close-by-One (Kuznetsov 1993) with
+/// In-Close's canonicity test (Andrews 2009). The search walks the concepts
+/// depth first from the top, each child's extent one AND of its parent's
+/// extent with a column of the context, and emits them in Ganter's lectic
+/// order of intents, the order NextClosure produces. It is the batch
+/// builder every Session uses (node ids follow the lectic order), and
+/// GodinBuilder is checked against it: the two must produce the same
+/// concept set. NextClosure itself survives as the differential oracle in
+/// concepts/NextClosureReference.h.
 ///
-/// There is one enumeration loop, metered by a BudgetMeter. The unbudgeted
-/// entry points run it under an unlimited meter.
+/// There is one search, metered by a BudgetMeter. The unbudgeted entry
+/// points run it under an unlimited meter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +29,7 @@
 
 namespace cable {
 
-/// Batch construction via NextClosure.
+/// Batch construction by Close-by-One in lectic order.
 class NextClosureBuilder {
 public:
   /// Enumerates every closed intent of \p Ctx, in lectic order. Never
@@ -36,7 +40,7 @@ public:
   /// Builds the full concept lattice of \p Ctx.
   static ConceptLattice buildLattice(const Context &Ctx);
 
-  /// Budgeted construction: checks \p Meter before every candidate closure
+  /// Budgeted construction: checks \p Meter before every candidate
   /// and stops at Budget::MaxConcepts. Returns the full lattice when the
   /// budget suffices, otherwise a partial lattice flagged Truncated (see
   /// BuildResult.h).

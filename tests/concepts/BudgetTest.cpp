@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Budget-exhaustion suite for the budgeted NextClosure build. The
+// Budget-exhaustion suite for the budgeted lattice build. The
 // adversarial input is the contranominal context of dimension N (object i
 // related to every attribute but i), whose lattice is the full powerset:
 // 2^N concepts. At N=24 that is ~16.7M concepts — unbuildable within a
@@ -24,6 +24,7 @@
 
 #include "concepts/BuildResult.h"
 #include "concepts/NextClosureBuilder.h"
+#include "concepts/NextClosureReference.h"
 
 #include "support/Failpoint.h"
 #include "support/RNG.h"
@@ -177,6 +178,11 @@ TEST(BudgetBuilderTest, ConceptCapDeterminismOnRandomContexts) {
     Context Ctx = randomContext(Rand, 10, 10, 0.4);
     std::vector<BitVector> Lectic = NextClosureBuilder::allClosedIntents(Ctx);
     size_t TrueSize = Lectic.size();
+    // The search's order is NextClosure's.
+    std::vector<BitVector> Reference = NextClosureReference::closedIntents(Ctx);
+    ASSERT_EQ(Reference.size(), TrueSize);
+    for (size_t I = 0; I < TrueSize; ++I)
+      ASSERT_TRUE(Lectic[I] == Reference[I]) << "trial " << Trial << " c" << I;
     // Caps below, at, and above the true size.
     for (size_t Cap : {size_t(1), TrueSize / 2 + 1, TrueSize, TrueSize + 5}) {
       SCOPED_TRACE("trial " + std::to_string(Trial) + " cap " +

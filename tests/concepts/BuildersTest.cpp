@@ -8,6 +8,7 @@
 #include "concepts/ContextReference.h"
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
+#include "concepts/NextClosureReference.h"
 
 #include "support/RNG.h"
 
@@ -120,6 +121,13 @@ TEST(NextClosureBuilderTest, EnumeratesAllClosedIntentsInLecticOrder) {
   EXPECT_EQ(Intents.size(), 4u);
   for (size_t I = 1; I < Intents.size(); ++I)
     EXPECT_FALSE(Intents[I] == Intents[I - 1]);
+  // Lectic order: {}, {1}, {0}, {0,1}, as NextClosure enumerates them.
+  std::vector<BitVector> Reference = NextClosureReference::closedIntents(Ctx);
+  ASSERT_EQ(Intents.size(), Reference.size());
+  for (size_t I = 0; I < Intents.size(); ++I)
+    EXPECT_TRUE(Intents[I] == Reference[I]) << I;
+  EXPECT_EQ(Intents[1].toIndices(), std::vector<size_t>{1});
+  EXPECT_EQ(Intents[2].toIndices(), std::vector<size_t>{0});
 }
 
 /// Canonical form of a lattice's cover edges: pairs of (parent extent,

@@ -7,17 +7,19 @@
 //
 // Property suite for the blocked arena Context layout: on random and
 // degenerate contexts, the fused sigma/tau (packed row/column arenas +
-// andSelectInto) and the register-resident intent closure at every column
-// stride must agree bit-for-bit with the reference derivations
-// (ContextReference); and entire lattices built by both builders must be
-// exactly the concepts of the reference closure system, on one-word and
-// multi-word rows, before and after clarification.
+// andSelectInto) and NextClosure's register-resident intent closure
+// (NextClosureReference) at every column stride must agree bit-for-bit
+// with the reference derivations (ContextReference); and entire lattices
+// built by both builders must be exactly the concepts of the reference
+// closure system, on one-word and multi-word rows, before and after
+// clarification.
 //
 //===----------------------------------------------------------------------===//
 
 #include "concepts/ContextReference.h"
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
+#include "concepts/NextClosureReference.h"
 
 #include "support/RNG.h"
 
@@ -204,10 +206,11 @@ TEST(ContextPathEquivalenceTest, DegenerateContexts) {
   expectBuildersMatchReferenceClosures(contranominal(8), "contranominal8");
 }
 
-/// Every column stride of the register-resident intent closure, and both
-/// fallbacks: object counts 64k-1, 64k and 64k+1 for k = 1..9 give column
-/// strides 1 to 10 (the register path covers 1 to 8), and attribute counts
-/// 1, 63, 64 and 65 give one-word rows and two-word rows (the fallback).
+/// Every column stride of NextClosure's register-resident intent closure
+/// (the oracle enumeration's per-candidate closure), and both fallbacks:
+/// object counts 64k-1, 64k and 64k+1 for k = 1..9 give column strides 1
+/// to 10 (the register path covers 1 to 8), and attribute counts 1, 63, 64
+/// and 65 give one-word rows and two-word rows (the fallback).
 class ClosureStrideTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ClosureStrideTest, CloseIntentIntoMatchesReference) {
@@ -233,7 +236,7 @@ TEST_P(ClosureStrideTest, CloseIntentIntoMatchesReference) {
           for (size_t A = 0; A < M; ++A)
             if (Rand.nextBool(I % 3 == 0 ? 0.02 : I % 3 == 1 ? 0.08 : 0.2))
               Y.set(A);
-        Ctx.closeIntentInto(Y, Extent, Intent);
+        NextClosureReference::closeIntentInto(Ctx, Y, Extent, Intent);
         EXPECT_TRUE(Extent == Ref.tau(Y)) << What << " subset " << I;
         EXPECT_TRUE(Intent == Ref.closeIntent(Y)) << What << " subset " << I;
         EXPECT_TRUE(Extent.tailIsClean() && Intent.tailIsClean()) << What;

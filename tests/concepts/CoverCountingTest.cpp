@@ -8,7 +8,8 @@
 // Differential oracle for neighbour-counted covers (computeCovers): over
 // the same concepts, the counted lattice must have byte-for-byte the
 // parents()/children() lists and serialize() bytes of the pairwise
-// coversAt scan, and for every concept (A, B) and attribute m outside B,
+// coversAt scan, the concepts must be NextClosure's (NextClosureReference)
+// in its order, and for every concept (A, B) and attribute m outside B,
 // the ExtentIndex lookup of A ∩ col(m) must be the concept whose intent
 // is closeIntent(B ∪ {m}). Inputs: 200 seeded random contexts (in lectic
 // and in shuffled concept order), the degenerate corners, every Table 3
@@ -21,6 +22,7 @@
 #include "concepts/ContextReference.h"
 #include "concepts/Covers.h"
 #include "concepts/NextClosureBuilder.h"
+#include "concepts/NextClosureReference.h"
 
 #include "cable/Session.h"
 #include "fa/Templates.h"
@@ -43,6 +45,26 @@ using namespace cable;
 
 namespace {
 
+std::vector<Concept> conceptsOf(const ConceptLattice &L) {
+  std::vector<Concept> Out;
+  for (ConceptLattice::NodeId Id = 0; Id < L.size(); ++Id)
+    Out.push_back(L.node(Id));
+  return Out;
+}
+
+/// Asserts that \p Concepts are NextClosure's concepts of \p Ctx, in
+/// NextClosure's order.
+void expectReferenceConcepts(const Context &Ctx,
+                             const std::vector<Concept> &Concepts,
+                             const std::string &What) {
+  std::vector<Concept> Reference = NextClosureReference::concepts(Ctx);
+  ASSERT_EQ(Concepts.size(), Reference.size()) << What;
+  for (size_t I = 0; I < Concepts.size(); ++I) {
+    ASSERT_EQ(Concepts[I].Intent, Reference[I].Intent) << What << " c" << I;
+    ASSERT_EQ(Concepts[I].Extent, Reference[I].Extent) << What << " c" << I;
+  }
+}
+
 std::vector<Concept> conceptsOf(const Context &Ctx) {
   std::vector<Concept> Out;
   for (BitVector &Intent : NextClosureBuilder::allClosedIntents(Ctx)) {
@@ -51,13 +73,7 @@ std::vector<Concept> conceptsOf(const Context &Ctx) {
     C.Intent = std::move(Intent);
     Out.push_back(std::move(C));
   }
-  return Out;
-}
-
-std::vector<Concept> conceptsOf(const ConceptLattice &L) {
-  std::vector<Concept> Out;
-  for (ConceptLattice::NodeId Id = 0; Id < L.size(); ++Id)
-    Out.push_back(L.node(Id));
+  expectReferenceConcepts(Ctx, Out, "allClosedIntents");
   return Out;
 }
 
@@ -77,7 +93,7 @@ void expectLookupsAreClosures(const Context &Ctx,
       Generated.set(M);
       ExtentIndex::NodeId D = Index.find(C.Extent & Ref.col(M));
       ASSERT_NE(D, ExtentIndex::NoNode) << What << " m" << M;
-      ASSERT_EQ(Concepts[D].Intent, Ctx.closeIntent(Generated))
+      ASSERT_EQ(Concepts[D].Intent, Ref.closeIntent(Generated))
           << What << " m" << M;
     }
 }
@@ -134,6 +150,7 @@ Context seededContext(uint64_t Seed) {
 /// and a re-count over its concepts against the scan.
 void expectSessionMatchesScan(const Session &S, const std::string &What) {
   std::vector<Concept> Concepts = conceptsOf(S.lattice());
+  expectReferenceConcepts(S.context(), Concepts, What);
   ConceptLattice Oracle = ConceptLattice::fromConcepts(Concepts);
   for (ConceptLattice::NodeId Id = 0; Id < Oracle.size(); ++Id) {
     ASSERT_EQ(S.lattice().parents(Id), Oracle.parents(Id)) << What;

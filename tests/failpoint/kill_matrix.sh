@@ -72,13 +72,17 @@ CHECK_OBS=$(cd "$(dirname "$0")/../integration" && pwd)/check_observability.py
 
 # The spans open when a crash case fires, outermost first, for the cases
 # whose stack the session script fixes: a crash inside nested library
-# spans, inside a journal snapshot, and inside a command (`save mid.labels`
-# is the third atomic-file write). The dump must list exactly these.
+# spans, inside a journal snapshot, inside the write-ahead append of a
+# command and its fsync (the append runs before the command's span opens),
+# and inside a command (`save mid.labels` is the third atomic-file write).
+# The dump must list exactly these.
 expected_spans() { # expected_spans <tag>: one span per line
   case $1 in
     lattice-oom=crash@1)
       printf '%s\n' session-init lattice-build next-closure-enumerate ;;
     journal-snapshot=crash@1) printf '%s\n' journal-snapshot ;;
+    journal-append=crash@3) printf '%s\n' journal-append ;;
+    journal-fsync=crash@5) printf '%s\n' journal-append journal-fsync ;;
     atomicfile-write=crash@3) printf '%s\n' "cmd save" ;;
   esac
 }
