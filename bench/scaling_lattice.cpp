@@ -27,8 +27,6 @@
 #include "workload/Generator.h"
 #include "workload/ReferenceFA.h"
 
-#include "support/simd/Kernels.h"
-
 #include "BenchCommon.h"
 
 #include <benchmark/benchmark.h>
@@ -36,7 +34,6 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <utility>
 #include <vector>
 
 using namespace cable;
@@ -172,8 +169,8 @@ void BM_ExecutedTransitions(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
-// Kernel & enumeration probes (always emitted into the BENCH JSON;
-// tests/bench/kernel_guard.sh gates on these sections and counters).
+// Enumeration and cover probes (always emitted into the BENCH JSON;
+// tests/bench/cover_guard.sh gates on these sections and counters).
 //===----------------------------------------------------------------------===//
 
 double median(std::vector<double> Xs) {
@@ -213,9 +210,10 @@ Context xtFreeContext(size_t PoolWidth, size_t Scenarios) {
 /// included) and on the NextClosure oracle plus one tau per intent (the
 /// enumeration every session ran before Close-by-One). Records sections
 /// enumerate-<tag> / enumerate-<tag>-ref and the counter
-/// enumerate_speedup_<tag> = median(reference) / median(search) that
-/// tests/bench/kernel_guard.sh gates on, plus the concept count and
-/// whether both produced the same intents in the same order.
+/// enumerate_speedup_<tag> = median(reference) / median(search), the
+/// concept count, and enumerate_agree_<tag> (whether both produced the
+/// same intents in the same order); tests/bench/cover_guard.sh gates on
+/// the speedup and the agreement.
 void enumerateSpeedupProbe(cable::bench::BenchReport &Report,
                            const std::string &Tag, const Context &Ctx,
                            int Samples) {
@@ -281,38 +279,6 @@ void coverSpeedupProbe(cable::bench::BenchReport &Report,
   Report.counter("cover_concepts_" + Tag,
                  static_cast<double>(Concepts.size()));
   Report.counter("cover_edges_agree_" + Tag, ScanEdges == CountEdges ? 1 : 0);
-}
-
-/// Fused-AND throughput sections for each form this CPU can run:
-/// kernel-andmany-portable, and kernel-andmany-avx2 when the CPU has AVX2.
-/// kernel_guard.sh gates on the AVX2 form not being slower.
-void andManyThroughputProbe(cable::bench::BenchReport &Report, int Samples,
-                            int Reps) {
-  using AndManyFn = decltype(&simd::andManyInto);
-  std::vector<std::pair<std::string, AndManyFn>> Forms = {
-      {"portable", simd::andManyInto}};
-#ifdef CABLE_KERNELS_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2"))
-    Forms.push_back({"avx2", simd::detail::andManyIntoAVX2});
-#endif
-  constexpr size_t W = 64; // 4096-bit operands: the XtFree row scale.
-  std::vector<uint64_t> A(W), B(W), Dst(W);
-  RNG Rand(7);
-  for (size_t I = 0; I < W; ++I) {
-    A[I] = Rand.next();
-    B[I] = Rand.next();
-  }
-  const uint64_t *Rows[8] = {A.data(), B.data(), A.data(), B.data(),
-                             A.data(), B.data(), A.data(), B.data()};
-  for (int S = 0; S < Samples; ++S)
-    for (const auto &[Name, AndMany] : Forms)
-      Report.timeSample("kernel-andmany-" + Name, [&] {
-        Dst = A;
-        for (int I = 0; I < Reps; ++I) {
-          AndMany(Dst.data(), Rows, 8, W);
-          benchmark::DoNotOptimize(Dst.data());
-        }
-      });
 }
 
 } // namespace
@@ -386,15 +352,11 @@ int main(int Argc, char **Argv) {
     coverSpeedupProbe(Report, "wide", xtFreeContext(9, 1000), Samples);
   }
 
-  // Fused-AND throughput and enumeration probes for the kernel regression
-  // guard. Sections exist in quick mode too — smaller, but the guard's
-  // one-sided comparisons still hold.
+  // Enumeration: the Close-by-One search against the NextClosure oracle.
+  // Emitted in quick mode too — smaller, but the guard's one-sided
+  // comparison still holds.
   {
-    bool Quick = cable::bench::BenchReport::quick();
-    int Samples = Quick ? 5 : 11;
-    int Reps = Quick ? 2000 : 20000;
-    andManyThroughputProbe(Report, Samples, Reps);
-
+    int Samples = cable::bench::BenchReport::quick() ? 5 : 11;
     enumerateSpeedupProbe(Report, "xtfree", xtFreeContext(10, 200), Samples);
     enumerateSpeedupProbe(Report, "random512",
                           randomContext(/*NumObjects=*/512, /*K=*/6,

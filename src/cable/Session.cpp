@@ -88,10 +88,9 @@ void Session::init(const SessionOptions &Options) {
     }
   }
 
-  // Content-addressed lattice cache. The key never mentions the kernel
-  // level (it is bit-for-bit irrelevant), and a wall-clock budget
-  // disables caching outright — a deadline-truncated lattice is not a
-  // pure function of the key.
+  // Content-addressed lattice cache. A wall-clock budget disables
+  // caching outright — a deadline-truncated lattice is not a pure
+  // function of the key.
   std::optional<ArtifactStore> Store;
   LatticeArtifactMeta Meta;
   std::string CacheKey;

@@ -79,8 +79,7 @@ struct SessionOptions {
 
   /// Directory of the content-addressed lattice artifact store; "" (the
   /// default) disables caching. The key is context hash x builder x
-  /// budget fingerprint — deliberately independent of the CPU's kernels,
-  /// which produce bit-identical lattices.
+  /// budget fingerprint, none of which depends on the CPU.
   /// Every cache failure (corrupt artifact, I/O error, lock timeout)
   /// degrades to a normal build and is reported via cacheDiagnostics();
   /// a poisoned cache costs time, never correctness.

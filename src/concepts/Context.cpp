@@ -8,7 +8,6 @@
 #include "concepts/Context.h"
 
 #include "support/Metrics.h"
-#include "support/simd/Kernels.h"
 
 #include <cassert>
 #include <cstdio>
@@ -21,6 +20,19 @@ namespace {
 // the disarmed cost is a single relaxed load (see support/Metrics.h).
 Metrics::Counter &NumSigma = Metrics::counter("context.sigma-calls");
 Metrics::Counter &NumTau = Metrics::counter("context.tau-calls");
+
+/// Out &= every arena row whose index is set in \p Sel (row p at Arena +
+/// p * Stride, Out.numWords() words of it).
+void andSelectedRows(const uint64_t *Arena, size_t Stride,
+                     const BitVector &Sel, BitVector &Out) {
+  uint64_t *Dst = Out.words();
+  const size_t NumWords = Out.numWords();
+  for (size_t P : Sel) {
+    const uint64_t *Row = Arena + P * Stride;
+    for (size_t I = 0; I < NumWords; ++I)
+      Dst[I] &= Row[I];
+  }
+}
 
 } // namespace
 
@@ -46,8 +58,7 @@ void Context::sigmaInto(const BitVector &Objects, BitVector &Out) const {
   assert(Objects.size() == numObjects() && "object universe mismatch");
   assert(Out.size() == numAttributes() && "output universe mismatch");
   Out.setAll();
-  simd::andSelectInto(Out.words(), RowArena.data(), RowStride,
-                      Objects.words(), Objects.numWords(), Out.numWords());
+  andSelectedRows(RowArena.data(), RowStride, Objects, Out);
   assert(Out.tailIsClean());
 }
 
@@ -56,8 +67,7 @@ void Context::tauInto(const BitVector &Attrs, BitVector &Out) const {
   assert(Attrs.size() == numAttributes() && "attribute universe mismatch");
   assert(Out.size() == numObjects() && "output universe mismatch");
   Out.setAll();
-  simd::andSelectInto(Out.words(), ColArena.data(), ColStride, Attrs.words(),
-                      Attrs.numWords(), Out.numWords());
+  andSelectedRows(ColArena.data(), ColStride, Attrs, Out);
   assert(Out.tailIsClean());
 }
 
@@ -74,9 +84,8 @@ BitVector Context::tau(const BitVector &Attrs) const {
 }
 
 std::string Context::contentHash() const {
-  // FNV-1a 64 over a canonical little-endian byte stream. Deliberately a
-  // plain scalar loop: the digest keys the artifact store, so it must not
-  // depend on which kernels the CPU runs.
+  // FNV-1a 64 over a canonical little-endian byte stream: the digest keys
+  // the artifact store, so it is a pure function of the relation.
   uint64_t H = 1469598103934665603ULL;
   auto Mix = [&H](uint64_t W) {
     for (int B = 0; B < 8; ++B) {

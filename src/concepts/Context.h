@@ -18,11 +18,11 @@
 /// Layout: the relation is stored once per orientation, as packed
 /// 64-bit-word arenas — object-major (row p at RowArena + p * RowStride)
 /// and transposed attribute-major (column a at ColArena + a * ColStride) —
-/// so sigma and tau each reduce to one fused simd::andSelectInto walking
-/// contiguous cache lines. objectRowWords()/attributeColWords() expose the
-/// arena words (GodinBuilder reads rows there; the Close-by-One search and
-/// cover computation AND extents with columns there). Every derivation is
-/// one sigmaInto or tauInto.
+/// so sigma and tau each AND the selected rows or columns of one arena
+/// into an all-ones accumulator. objectRowWords()/attributeColWords()
+/// expose the arena words (GodinBuilder reads rows there; the Close-by-One
+/// search and cover computation AND extents with columns there, and so
+/// evaluate no derivation). Every derivation is one sigmaInto or tauInto.
 ///
 /// The reference derivations (one BitVector per row and column, folded
 /// with operator&=) and clarification live in concepts/ContextReference.h,
@@ -75,8 +75,8 @@ public:
   /// tau: objects possessing all attributes in \p Attrs.
   BitVector tau(const BitVector &Attrs) const;
 
-  /// sigma into a caller-owned buffer sized numAttributes(): the hot form
-  /// — no allocation, one fused kernel pass over the row arena.
+  /// sigma into a caller-owned buffer sized numAttributes(): no
+  /// allocation, one pass over the selected rows of the row arena.
   void sigmaInto(const BitVector &Objects, BitVector &Out) const;
 
   /// tau into a caller-owned buffer sized numObjects().
@@ -100,8 +100,8 @@ public:
   /// Canonical content hash of the context: a 16-hex-digit FNV-1a digest
   /// of (numObjects, numAttributes, object-major incidence words in
   /// little-endian byte order). This is the content-addressing key of the
-  /// lattice artifact store, so it is computed with a plain scalar loop —
-  /// never a SIMD kernel — and is byte-identical on every CPU.
+  /// lattice artifact store, so it is computed byte by byte and is
+  /// identical on every CPU.
   /// Arena tail bits past numAttributes() are always zero (only relate()
   /// writes them), so the digest is a pure function of the relation.
   std::string contentHash() const;

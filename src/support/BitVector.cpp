@@ -7,11 +7,76 @@
 
 #include "support/BitVector.h"
 
-#include "support/simd/Kernels.h"
-
 #include <bit>
 
 using namespace cable;
+
+//===----------------------------------------------------------------------===//
+// Word loops — four words per iteration. Read loops apply a TailMask to
+// the final word so a dirty tail can never leak into a verdict; mutating
+// loops rely on the caller re-clearing the tail.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Dst[i] = Op(Dst[i], Src[i]) for all i.
+template <typename WordOp>
+void zipInto(uint64_t *Dst, const uint64_t *Src, size_t N, WordOp Op) {
+  size_t I = 0;
+  for (; I + 4 <= N; I += 4) {
+    Dst[I + 0] = Op(Dst[I + 0], Src[I + 0]);
+    Dst[I + 1] = Op(Dst[I + 1], Src[I + 1]);
+    Dst[I + 2] = Op(Dst[I + 2], Src[I + 2]);
+    Dst[I + 3] = Op(Dst[I + 3], Src[I + 3]);
+  }
+  for (; I < N; ++I)
+    Dst[I] = Op(Dst[I], Src[I]);
+}
+
+/// True iff Op(A[i], B[i]) != 0 for some i, with TailMask applied to the
+/// final word.
+template <typename WordOp>
+bool anyWord(const uint64_t *A, const uint64_t *B, size_t N,
+             uint64_t TailMask, WordOp Op) {
+  if (N == 0)
+    return false;
+  size_t Full = N - 1;
+  size_t I = 0;
+  for (; I + 4 <= Full; I += 4)
+    if ((Op(A[I + 0], B[I + 0]) | Op(A[I + 1], B[I + 1]) |
+         Op(A[I + 2], B[I + 2]) | Op(A[I + 3], B[I + 3])) != 0)
+      return true;
+  for (; I < Full; ++I)
+    if (Op(A[I], B[I]) != 0)
+      return true;
+  return (Op(A[Full], B[Full]) & TailMask) != 0;
+}
+
+/// Total set bits, with TailMask applied to the final word.
+size_t popcountWords(const uint64_t *A, size_t N, uint64_t TailMask) {
+  if (N == 0)
+    return 0;
+  size_t Full = N - 1;
+  size_t C0 = 0, C1 = 0, C2 = 0, C3 = 0;
+  size_t I = 0;
+  for (; I + 4 <= Full; I += 4) {
+    C0 += static_cast<size_t>(std::popcount(A[I + 0]));
+    C1 += static_cast<size_t>(std::popcount(A[I + 1]));
+    C2 += static_cast<size_t>(std::popcount(A[I + 2]));
+    C3 += static_cast<size_t>(std::popcount(A[I + 3]));
+  }
+  for (; I < Full; ++I)
+    C0 += static_cast<size_t>(std::popcount(A[I]));
+  return C0 + C1 + C2 + C3 +
+         static_cast<size_t>(std::popcount(A[Full] & TailMask));
+}
+
+constexpr auto WordAnd = [](uint64_t X, uint64_t Y) { return X & Y; };
+constexpr auto WordOr = [](uint64_t X, uint64_t Y) { return X | Y; };
+constexpr auto WordXor = [](uint64_t X, uint64_t Y) { return X ^ Y; };
+constexpr auto WordAndNot = [](uint64_t X, uint64_t Y) { return X & ~Y; };
+
+} // namespace
 
 void BitVector::clearUnusedBits() {
   size_t Tail = NumBits % 64;
@@ -34,16 +99,16 @@ void BitVector::setAll() {
 size_t BitVector::count() const {
   if (Words.size() == 1)
     return static_cast<size_t>(std::popcount(Words[0] & tailMask()));
-  return simd::popcount(Words.data(), Words.size(), tailMask());
+  return popcountWords(Words.data(), Words.size(), tailMask());
 }
 
 bool BitVector::none() const {
-  // A & A intersects iff any bit is set; the kernel masks the tail so a
+  // A & A intersects iff any bit is set; anyWord masks the tail so a
   // dirty tail can never make an empty set look populated.
   if (Words.size() == 1)
     return (Words[0] & tailMask()) == 0;
-  return !simd::intersects(Words.data(), Words.data(), Words.size(),
-                           tailMask());
+  return !anyWord(Words.data(), Words.data(), Words.size(), tailMask(),
+                  WordAnd);
 }
 
 BitVector &BitVector::operator&=(const BitVector &RHS) {
@@ -51,7 +116,7 @@ BitVector &BitVector::operator&=(const BitVector &RHS) {
   if (Words.size() == 1)
     Words[0] &= RHS.Words[0];
   else
-    simd::andInto(Words.data(), RHS.Words.data(), Words.size());
+    zipInto(Words.data(), RHS.Words.data(), Words.size(), WordAnd);
   clearUnusedBits();
   assert(tailIsClean());
   return *this;
@@ -62,7 +127,7 @@ BitVector &BitVector::operator|=(const BitVector &RHS) {
   if (Words.size() == 1)
     Words[0] |= RHS.Words[0];
   else
-    simd::orInto(Words.data(), RHS.Words.data(), Words.size());
+    zipInto(Words.data(), RHS.Words.data(), Words.size(), WordOr);
   clearUnusedBits();
   assert(tailIsClean());
   return *this;
@@ -73,7 +138,7 @@ BitVector &BitVector::operator^=(const BitVector &RHS) {
   if (Words.size() == 1)
     Words[0] ^= RHS.Words[0];
   else
-    simd::xorInto(Words.data(), RHS.Words.data(), Words.size());
+    zipInto(Words.data(), RHS.Words.data(), Words.size(), WordXor);
   clearUnusedBits();
   assert(tailIsClean());
   return *this;
@@ -84,7 +149,7 @@ BitVector &BitVector::andNot(const BitVector &RHS) {
   if (Words.size() == 1)
     Words[0] &= ~RHS.Words[0];
   else
-    simd::andNotInto(Words.data(), RHS.Words.data(), Words.size());
+    zipInto(Words.data(), RHS.Words.data(), Words.size(), WordAndNot);
   clearUnusedBits();
   assert(tailIsClean());
   return *this;
@@ -100,16 +165,16 @@ bool BitVector::isSubsetOf(const BitVector &RHS) const {
   assert(NumBits == RHS.NumBits && "universe size mismatch");
   if (Words.size() == 1)
     return ((Words[0] & ~RHS.Words[0]) & tailMask()) == 0;
-  return simd::isSubsetOf(Words.data(), RHS.Words.data(), Words.size(),
-                          tailMask());
+  return !anyWord(Words.data(), RHS.Words.data(), Words.size(), tailMask(),
+                  WordAndNot);
 }
 
 bool BitVector::intersects(const BitVector &RHS) const {
   assert(NumBits == RHS.NumBits && "universe size mismatch");
   if (Words.size() == 1)
     return ((Words[0] & RHS.Words[0]) & tailMask()) != 0;
-  return simd::intersects(Words.data(), RHS.Words.data(), Words.size(),
-                          tailMask());
+  return anyWord(Words.data(), RHS.Words.data(), Words.size(), tailMask(),
+                 WordAnd);
 }
 
 size_t BitVector::findFirst() const {

@@ -11,10 +11,10 @@
 /// over set bits. Concept extents and intents are BitVectors, so these
 /// operations dominate lattice construction time.
 ///
-/// The word-level work is delegated to the portable kernels in
-/// support/simd/Kernels.h, with a single-word fast path inline here
-/// because most intents in the paper's workloads fit one word. Two
-/// invariants the kernels rely on:
+/// The word-level work runs in loops unrolled four words per iteration
+/// (BitVector.cpp), each with a single-word fast path because most
+/// intents in the paper's workloads fit one word. Two invariants the
+/// loops rely on:
 ///
 ///  - Tail invariant: bits at positions >= size() in the last word are
 ///    always zero after every mutating operation (each one re-masks the
@@ -169,8 +169,9 @@ public:
     return H ^ (H >> 32);
   }
 
-  /// Raw word access for the kernel layer (Context packs these into its
-  /// arenas; simd::andSelectInto reads selectors through this).
+  /// Raw word access for code that works on words itself: the
+  /// Close-by-One search and cover computation AND extents with Context's
+  /// columns, and the lattice codec copies them.
   const uint64_t *words() const { return Words.data(); }
   uint64_t *words() { return Words.data(); }
 

@@ -5,9 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Property suite for the blocked arena Context layout: on random and
-// degenerate contexts, the fused sigma/tau (packed row/column arenas +
-// andSelectInto) and NextClosure's register-resident intent closure
+// Property suite for the arena Context layout: on random and degenerate
+// contexts, sigma/tau (selected rows or columns of the packed arenas,
+// ANDed word by word) and NextClosure's register-resident intent closure
 // (NextClosureReference) at every column stride must agree bit-for-bit
 // with the reference derivations (ContextReference); and entire lattices
 // built by both builders must be exactly the concepts of the reference
@@ -59,10 +59,15 @@ Context contranominal(size_t N) {
   return Ctx;
 }
 
-BitVector randomSubset(RNG &Rand, size_t Universe) {
+/// Each element with probability 0.4, or, given \p Expected, with
+/// probability Expected / Universe.
+BitVector randomSubset(RNG &Rand, size_t Universe, size_t Expected = 0) {
+  double P = Expected == 0 || Universe <= Expected
+                 ? 0.4
+                 : static_cast<double>(Expected) / Universe;
   BitVector Out(Universe);
   for (size_t I = 0; I < Universe; ++I)
-    if (Rand.nextBool(0.4))
+    if (Rand.nextBool(P))
       Out.set(I);
   return Out;
 }
@@ -81,6 +86,12 @@ void expectDerivationsMatchReference(const Context &Ctx, uint64_t Seed,
   for (int I = 0; I < 20; ++I) {
     ObjSets.push_back(randomSubset(Rand, Ctx.numObjects()));
     AttrSets.push_back(randomSubset(Rand, Ctx.numAttributes()));
+  }
+  // A few elements each: on a wide context, a 40% subset derives the
+  // empty set almost surely, and these derive non-trivial ones.
+  for (int I = 0; I < 10; ++I) {
+    ObjSets.push_back(randomSubset(Rand, Ctx.numObjects(), 3));
+    AttrSets.push_back(randomSubset(Rand, Ctx.numAttributes(), 3));
   }
   const ContextReference Ref(Ctx);
   for (const BitVector &X : ObjSets) {
@@ -184,6 +195,18 @@ TEST(ContextLayoutDegenerateTest, WideContextCrossesWordBoundaries) {
       if (Rand.nextBool(0.3))
         Ctx.relate(O, A);
   expectDerivationsMatchReference(Ctx, 5, "130x70");
+}
+
+TEST(ContextLayoutDegenerateTest, ContextWiderThanFourWordsBothWays) {
+  // 300 attributes → 5-word rows; 577 objects → 10-word columns with a
+  // one-bit tail, so sigma and tau both fold more than four words.
+  RNG Rand(577);
+  Context Ctx(577, 300);
+  for (size_t O = 0; O < 577; ++O)
+    for (size_t A = 0; A < 300; ++A)
+      if (Rand.nextBool(0.7))
+        Ctx.relate(O, A);
+  expectDerivationsMatchReference(Ctx, 6, "577x300");
 }
 
 /// 60-seed sweep: whole lattices built on the arena path are exactly the

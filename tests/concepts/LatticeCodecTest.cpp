@@ -251,8 +251,9 @@ TEST(LatticeCodecTest, AsymmetricAdjacencyRejectedPastBodyCrc) {
 
 TEST(LatticeCodecTest, ContentHashCanonicalAcrossKernels) {
   // The content hash is the cache key: it must depend only on the
-  // relation (pinned, so a kernel or layout change cannot move the keys of
-  // existing artifacts), and separate contexts that differ in one cell.
+  // relation (pinned, so a change to the word loops or the layout cannot
+  // move the keys of existing artifacts), and separate contexts that
+  // differ in one cell.
   Context Ctx = randomContext(65, 67, 0.25, 3);
   std::string Baseline = Ctx.contentHash();
   EXPECT_EQ(Baseline, "4436a719d73c8afc");
