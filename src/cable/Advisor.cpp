@@ -34,17 +34,18 @@ cable::suggestFocusSeeds(const Session &S, ConceptLattice::NodeId Id,
   std::vector<SeedSuggestion> Out;
   for (EventId Seed : Alphabet) {
     Automaton FA = makeSeedOrderFA(Alphabet, Seed, Table);
+    RelationScanner Relation(FA, Table);
     std::unordered_set<BitVector, BitVectorHash> Groups;
     size_t Accepted = 0;
     bool AnyRejected = false;
     for (const Trace &T : Traces) {
-      BitVector Row = FA.executedTransitions(T, Table);
+      const BitVector &Row = Relation.executed(T);
       if (Row.none()) {
         AnyRejected = true;
         continue;
       }
       ++Accepted;
-      Groups.insert(std::move(Row));
+      Groups.insert(Row);
     }
     SeedSuggestion Suggestion;
     Suggestion.Seed = Seed;
@@ -91,9 +92,10 @@ cable::suggestNameProjections(const Session &S, ConceptLattice::NodeId Id,
   std::vector<ProjectionSuggestion> Out;
   for (ValueId V : Values) {
     Automaton FA = makeNameProjectionFA(Alphabet, V, Table);
+    RelationScanner Relation(FA, Table);
     std::unordered_set<BitVector, BitVectorHash> Groups;
     for (const Trace &T : Traces)
-      Groups.insert(FA.executedTransitions(T, Table));
+      Groups.insert(Relation.executed(T));
     if (Groups.size() >= 2)
       Out.push_back(ProjectionSuggestion{V, Groups.size()});
   }

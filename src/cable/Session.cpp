@@ -78,9 +78,9 @@ void Session::init(const SessionOptions &Options) {
     RelationCalls.add();
     RelationObjects.add(Classes.numClasses());
     Ctx = Context(Classes.numClasses(), RefFA.numTransitions());
+    RelationScanner Relation(RefFA, table());
     for (size_t Obj = 0; Obj < Classes.numClasses(); ++Obj) {
-      BitVector Row =
-          RefFA.executedTransitions(Classes.Representatives[Obj], table());
+      const BitVector &Row = Relation.executed(Classes.Representatives[Obj]);
       if (Row.none() && !Classes.Representatives[Obj].empty())
         Rejected.push_back(Obj);
       for (size_t A : Row)

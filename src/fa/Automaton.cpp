@@ -10,6 +10,7 @@
 #include "support/Dot.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace cable;
@@ -101,54 +102,102 @@ bool Automaton::accepts(const Trace &T, const EventTable &Table) const {
 
 BitVector Automaton::executedTransitions(const Trace &T,
                                          const EventTable &Table) const {
-  assert(!hasEpsilons() &&
+  return RelationScanner(*this, Table).executed(T);
+}
+
+namespace {
+
+bool testBit(const uint64_t *Set, StateId S) {
+  return (Set[S / 64] >> (S % 64)) & 1;
+}
+
+void setBit(uint64_t *Set, StateId S) {
+  Set[S / 64] |= uint64_t(1) << (S % 64);
+}
+
+} // namespace
+
+RelationScanner::RelationScanner(const Automaton &FA, const EventTable &Table)
+    : FA(FA), Table(Table), Words((FA.numStates() + 63) / 64),
+      Start(Words, 0), Accept(Words, 0), Live(Words, 0), Next(Words, 0),
+      Row(FA.numTransitions()) {
+  assert(!FA.hasEpsilons() &&
          "executedTransitions requires an epsilon-free automaton");
+  for (StateId S = 0; S < FA.numStates(); ++S) {
+    if (FA.isStart(S))
+      setBit(Start.data(), S);
+    if (FA.isAccepting(S))
+      setBit(Accept.data(), S);
+  }
+}
+
+std::pair<uint32_t, uint32_t> RelationScanner::matchesOf(EventId E) {
+  if (E >= Lists.size())
+    Lists.resize(std::max<size_t>(E + 1, Table.numEvents()),
+                 {Unbuilt, Unbuilt});
+  if (Lists[E].first == Unbuilt) {
+    const Event &Ev = Table.event(E);
+    uint32_t Begin = static_cast<uint32_t>(Matches.size());
+    for (TransitionId TI = 0; TI < FA.numTransitions(); ++TI) {
+      const Transition &Tr = FA.transition(TI);
+      if (Tr.Label.matches(Ev))
+        Matches.push_back({TI, Tr.From, Tr.To});
+    }
+    Lists[E] = {Begin, static_cast<uint32_t>(Matches.size())};
+  }
+  return Lists[E];
+}
+
+const BitVector &RelationScanner::executed(const Trace &T) {
+  Row.resetAll();
   size_t N = T.size();
+  Positions.resize(N);
+  for (size_t I = 0; I < N; ++I)
+    Positions[I] = matchesOf(T[I]);
 
-  // Forward[i] = states reachable from a start state consuming T[0..i).
-  std::vector<BitVector> Forward(N + 1, BitVector(numStates()));
-  Forward[0] = startSet();
-  for (size_t I = 0; I < N; ++I) {
-    const Event &E = Table.event(T[I]);
-    for (size_t S : Forward[I])
-      for (TransitionId TI : Outgoing[S]) {
-        const Transition &Tr = Transitions[TI];
-        if (Tr.Label.matches(E))
-          Forward[I + 1].set(Tr.To);
-      }
-  }
-
-  // Backward[i] = states from which consuming T[i..N) can reach acceptance.
-  std::vector<BitVector> Backward(N + 1, BitVector(numStates()));
-  for (size_t S = 0; S < numStates(); ++S)
-    if (AcceptFlags[S])
-      Backward[N].set(S);
+  // Bwd[I] = states from which consuming T[I..N) can reach acceptance. A
+  // position where no state completes rejects the trace.
+  Bwd.assign((N + 1) * Words, 0);
+  std::copy(Accept.begin(), Accept.end(), Bwd.begin() + N * Words);
   for (size_t I = N; I > 0; --I) {
-    const Event &E = Table.event(T[I - 1]);
-    for (size_t S = 0; S < numStates(); ++S)
-      for (TransitionId TI : Outgoing[S]) {
-        const Transition &Tr = Transitions[TI];
-        if (Tr.Label.matches(E) && Backward[I].test(Tr.To)) {
-          Backward[I - 1].set(S);
-          break;
-        }
+    const uint64_t *After = Bwd.data() + I * Words;
+    uint64_t *Before = Bwd.data() + (I - 1) * Words;
+    bool Any = false;
+    auto [Begin, End] = Positions[I - 1];
+    for (uint32_t K = Begin; K < End; ++K)
+      if (testBit(After, Matches[K].To)) {
+        setBit(Before, Matches[K].From);
+        Any = true;
       }
+    if (!Any)
+      return Row;
   }
 
-  // A transition is executed iff it fires at some position of an accepting
-  // run: its source is forward-reachable there and its target completes to
-  // acceptance.
-  BitVector Executed(numTransitions());
-  for (size_t I = 0; I < N; ++I) {
-    const Event &E = Table.event(T[I]);
-    for (size_t S : Forward[I])
-      for (TransitionId TI : Outgoing[S]) {
-        const Transition &Tr = Transitions[TI];
-        if (Tr.Label.matches(E) && Backward[I + 1].test(Tr.To))
-          Executed.set(TI);
-      }
+  // Forward over the live states, Fwd[I] ∩ Bwd[I]: a matching transition
+  // from a live state into Bwd[I + 1] lies on an accepting run, and its
+  // targets are the next live states. A trace is accepted iff a start state
+  // is live at 0; the empty trace executes nothing either way.
+  bool Accepted = false;
+  for (size_t W = 0; W < Words; ++W) {
+    Live[W] = Start[W] & Bwd[W];
+    Accepted |= Live[W] != 0;
   }
-  return Executed;
+  if (!Accepted)
+    return Row;
+  for (size_t I = 0; I < N; ++I) {
+    const uint64_t *After = Bwd.data() + (I + 1) * Words;
+    std::fill(Next.begin(), Next.end(), 0);
+    auto [Begin, End] = Positions[I];
+    for (uint32_t K = Begin; K < End; ++K) {
+      const Edge &E = Matches[K];
+      if (testBit(Live.data(), E.From) && testBit(After, E.To)) {
+        Row.set(E.Id);
+        setBit(Next.data(), E.To);
+      }
+    }
+    Live.swap(Next);
+  }
+  return Row;
 }
 
 Automaton Automaton::withoutEpsilons() const {

@@ -16,6 +16,15 @@
 /// transitions that lie on *some* accepting sequence of transitions for the
 /// trace o — exactly the attribute set concept analysis clusters on.
 ///
+/// R is computed by a RelationScanner, which lists once per event the
+/// transitions whose label matches it and then scans a trace over those
+/// match lists only: a backward pass marks the states that complete to
+/// acceptance, and a forward pass follows the live states and collects the
+/// transitions that fire. A session computes every row of its context with
+/// one scanner; executedTransitions is a one-trace call into the same code.
+/// The per-trace three-pass computation it replaced is the test oracle
+/// executedTransitionsReference (fa/AutomatonReference.h).
+///
 /// Transitions are identified by their insertion index; that index is the
 /// FCA attribute id throughout the system, so transitions are never removed
 /// once added (build a fresh automaton instead — see trimmed()).
@@ -31,6 +40,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cable {
@@ -96,7 +106,8 @@ public:
 
   /// Computes the paper's relation R for trace \p T: the set of transitions
   /// that appear on at least one accepting run over \p T. Empty if the
-  /// trace is not accepted. Requires an epsilon-free automaton.
+  /// trace is not accepted. Requires an epsilon-free automaton. For many
+  /// traces of one table, use a RelationScanner.
   BitVector executedTransitions(const Trace &T, const EventTable &Table) const;
 
   /// Returns an equivalent epsilon-free automaton. Transition ids are NOT
@@ -145,6 +156,48 @@ private:
   std::vector<Transition> Transitions;
   std::vector<std::vector<TransitionId>> Outgoing;
   std::vector<std::vector<TransitionId>> Incoming;
+};
+
+/// The relation R of one epsilon-free automaton over the traces of one
+/// event table. The match list of an event (the transitions whose label
+/// matches it) is built the first time the event appears; the pass buffers
+/// are reused from trace to trace. \p FA and \p Table must outlive the
+/// scanner; events interned after its construction are matched when met.
+class RelationScanner {
+public:
+  RelationScanner(const Automaton &FA, const EventTable &Table);
+
+  /// R for \p T: the transitions on at least one accepting run over \p T,
+  /// empty if \p T is rejected. Valid until the next call.
+  const BitVector &executed(const Trace &T);
+
+private:
+  /// A transition as the passes read it.
+  struct Edge {
+    TransitionId Id;
+    StateId From, To;
+  };
+
+  /// The [begin, end) range of \p E's match list in Matches.
+  std::pair<uint32_t, uint32_t> matchesOf(EventId E);
+
+  const Automaton &FA;
+  const EventTable &Table;
+  /// Words per state set.
+  size_t Words;
+  std::vector<uint64_t> Start, Accept;
+  /// Per EventId, its match list's range in Matches; Begin is Unbuilt
+  /// until the event is first met.
+  static constexpr uint32_t Unbuilt = UINT32_MAX;
+  std::vector<std::pair<uint32_t, uint32_t>> Lists;
+  std::vector<Edge> Matches;
+  /// Per position of the trace being scanned: its event's match list.
+  std::vector<std::pair<uint32_t, uint32_t>> Positions;
+  /// Bwd[I]: the states from which the suffix at I reaches acceptance,
+  /// Words words per position.
+  std::vector<uint64_t> Bwd;
+  std::vector<uint64_t> Live, Next;
+  BitVector Row;
 };
 
 } // namespace cable

@@ -19,6 +19,15 @@
 /// canonicalized, so identical protocols from different runs compare
 /// equal.
 ///
+/// Each run is indexed once: per value, the ascending positions that
+/// mention it (its posting list) and the first position of a seed event
+/// that mentions it. A scenario is the union of its values' posting lists;
+/// the transitive closure is a breadth-first search over them; a seed
+/// opens no scenario when a value of its set was mentioned by an earlier
+/// seed event (a value no seed mentions never counts). The rescanning
+/// extractor this replaced is the test oracle extractScenariosReference
+/// (miner/ScenarioExtractorReference.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CABLE_MINER_SCENARIOEXTRACTOR_H
