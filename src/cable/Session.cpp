@@ -47,8 +47,6 @@ std::string budgetFingerprint(const Budget &B) {
 Session::Session(TraceSet TracesIn, Automaton ReferenceFA) {
   Traces = std::move(TracesIn);
   RefFA = std::move(ReferenceFA);
-  assert(!RefFA.hasEpsilons() &&
-         "reference FA must be epsilon-free (apply withoutEpsilons)");
   init(SessionOptions());
 }
 
@@ -57,11 +55,6 @@ StatusOr<Session> Session::build(TraceSet Traces, Automaton ReferenceFA,
   Session S;
   S.Traces = std::move(Traces);
   S.RefFA = std::move(ReferenceFA);
-  if (S.RefFA.hasEpsilons())
-    return Status::error(
-        ErrorCode::InvalidArgument,
-        "reference FA has epsilon transitions; apply withoutEpsilons() "
-        "before building a session");
   S.init(Options);
   return S;
 }

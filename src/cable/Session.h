@@ -101,12 +101,11 @@ public:
   /// Builds the session: dedups \p Traces into identical-trace classes,
   /// simulates each representative on \p ReferenceFA to obtain its
   /// attribute row, and constructs the concept lattice with NextClosure.
-  /// \p ReferenceFA must be epsilon-free. Traces the FA rejects get empty
-  /// attribute rows and are reported by rejectedObjects().
+  /// Traces \p ReferenceFA rejects get empty attribute rows and are
+  /// reported by rejectedObjects().
   Session(TraceSet Traces, Automaton ReferenceFA);
 
-  /// Budget-aware construction: as the constructor, but an epsilon FA
-  /// comes back as a failed Status instead of aborting, and lattice
+  /// Budget-aware construction: as the constructor, but lattice
   /// construction honors Options.ResourceBudget — on exhaustion
   /// the session is still returned with truncated() set, a partial (but
   /// well-formed) lattice, and the complete baseline clustering.

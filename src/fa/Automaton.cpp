@@ -44,60 +44,16 @@ TransitionId Automaton::addTransition(StateId From, StateId To,
   return Id;
 }
 
-bool Automaton::hasEpsilons() const {
-  for (const Transition &T : Transitions)
-    if (T.Label.isEpsilon())
-      return true;
-  return false;
-}
-
-void Automaton::epsilonClose(BitVector &States) const {
-  std::vector<StateId> Worklist;
-  for (size_t S : States)
-    Worklist.push_back(static_cast<StateId>(S));
-  while (!Worklist.empty()) {
-    StateId S = Worklist.back();
-    Worklist.pop_back();
-    for (TransitionId TI : Outgoing[S]) {
-      const Transition &T = Transitions[TI];
-      if (T.Label.isEpsilon() && !States.test(T.To)) {
-        States.set(T.To);
-        Worklist.push_back(T.To);
-      }
-    }
-  }
-}
-
 BitVector Automaton::startSet() const {
   BitVector S(numStates());
   for (size_t I = 0; I < numStates(); ++I)
     if (StartFlags[I])
       S.set(I);
-  epsilonClose(S);
   return S;
 }
 
 bool Automaton::accepts(const Trace &T, const EventTable &Table) const {
-  BitVector Current = startSet();
-  for (EventId EI : T.events()) {
-    if (Current.none())
-      return false;
-    const Event &E = Table.event(EI);
-    BitVector Next(numStates());
-    for (size_t S : Current) {
-      for (TransitionId TI : Outgoing[S]) {
-        const Transition &Tr = Transitions[TI];
-        if (Tr.Label.matches(E))
-          Next.set(Tr.To);
-      }
-    }
-    epsilonClose(Next);
-    Current = std::move(Next);
-  }
-  for (size_t S : Current)
-    if (AcceptFlags[S])
-      return true;
-  return false;
+  return RelationScanner(*this, Table).accepts(T);
 }
 
 BitVector Automaton::executedTransitions(const Trace &T,
@@ -121,8 +77,6 @@ RelationScanner::RelationScanner(const Automaton &FA, const EventTable &Table)
     : FA(FA), Table(Table), Words((FA.numStates() + 63) / 64),
       Start(Words, 0), Accept(Words, 0), Live(Words, 0), Next(Words, 0),
       Row(FA.numTransitions()) {
-  assert(!FA.hasEpsilons() &&
-         "executedTransitions requires an epsilon-free automaton");
   for (StateId S = 0; S < FA.numStates(); ++S) {
     if (FA.isStart(S))
       setBit(Start.data(), S);
@@ -148,8 +102,7 @@ std::pair<uint32_t, uint32_t> RelationScanner::matchesOf(EventId E) {
   return Lists[E];
 }
 
-const BitVector &RelationScanner::executed(const Trace &T) {
-  Row.resetAll();
+bool RelationScanner::accepts(const Trace &T) {
   size_t N = T.size();
   Positions.resize(N);
   for (size_t I = 0; I < N; ++I)
@@ -170,21 +123,28 @@ const BitVector &RelationScanner::executed(const Trace &T) {
         Any = true;
       }
     if (!Any)
-      return Row;
+      return false;
   }
 
-  // Forward over the live states, Fwd[I] ∩ Bwd[I]: a matching transition
-  // from a live state into Bwd[I + 1] lies on an accepting run, and its
-  // targets are the next live states. A trace is accepted iff a start state
-  // is live at 0; the empty trace executes nothing either way.
+  // A trace is accepted iff a start state is live at 0, Start ∩ Bwd[0].
   bool Accepted = false;
   for (size_t W = 0; W < Words; ++W) {
     Live[W] = Start[W] & Bwd[W];
     Accepted |= Live[W] != 0;
   }
-  if (!Accepted)
+  return Accepted;
+}
+
+const BitVector &RelationScanner::executed(const Trace &T) {
+  Row.resetAll();
+  if (!accepts(T))
     return Row;
-  for (size_t I = 0; I < N; ++I) {
+
+  // Forward over the live states, Fwd[I] ∩ Bwd[I]: a matching transition
+  // from a live state into Bwd[I + 1] lies on an accepting run, and its
+  // targets are the next live states. The empty trace executes nothing,
+  // accepted or not.
+  for (size_t I = 0; I < T.size(); ++I) {
     const uint64_t *After = Bwd.data() + (I + 1) * Words;
     std::fill(Next.begin(), Next.end(), 0);
     auto [Begin, End] = Positions[I];
@@ -198,35 +158,6 @@ const BitVector &RelationScanner::executed(const Trace &T) {
     Live.swap(Next);
   }
   return Row;
-}
-
-Automaton Automaton::withoutEpsilons() const {
-  Automaton Out;
-  for (size_t S = 0; S < numStates(); ++S)
-    Out.addState();
-
-  // A state is accepting if its epsilon closure contains an accepting
-  // state.
-  for (size_t S = 0; S < numStates(); ++S) {
-    BitVector Closure(numStates());
-    Closure.set(S);
-    epsilonClose(Closure);
-    bool Accept = false;
-    for (size_t C : Closure) {
-      if (AcceptFlags[C])
-        Accept = true;
-      // Copy each non-epsilon transition leaving the closure back to S.
-      for (TransitionId TI : Outgoing[C]) {
-        const Transition &Tr = Transitions[TI];
-        if (!Tr.Label.isEpsilon())
-          Out.addTransition(static_cast<StateId>(S), Tr.To, Tr.Label);
-      }
-    }
-    Out.setAccepting(static_cast<StateId>(S), Accept);
-    if (StartFlags[S])
-      Out.setStart(static_cast<StateId>(S));
-  }
-  return Out.trimmed();
 }
 
 BitVector Automaton::reachableStates() const {

@@ -10,20 +10,24 @@
 /// reference FAs.
 ///
 /// An Automaton is a nondeterministic FA whose transitions carry
-/// TransitionLabels (event patterns). It may have several start states and
+/// TransitionLabels (event patterns); every transition consumes one event,
+/// so there are no silent moves. It may have several start states and
 /// several accepting states. Besides acceptance, it computes the paper's
 /// central relation R (§3.2): `executedTransitions(o)` returns the set of
 /// transitions that lie on *some* accepting sequence of transitions for the
 /// trace o — exactly the attribute set concept analysis clusters on.
 ///
-/// R is computed by a RelationScanner, which lists once per event the
+/// Both are computed by a RelationScanner, which lists once per event the
 /// transitions whose label matches it and then scans a trace over those
 /// match lists only: a backward pass marks the states that complete to
 /// acceptance, and a forward pass follows the live states and collects the
-/// transitions that fire. A session computes every row of its context with
-/// one scanner; executedTransitions is a one-trace call into the same code.
-/// The per-trace three-pass computation it replaced is the test oracle
-/// executedTransitionsReference (fa/AutomatonReference.h).
+/// transitions that fire. A trace is accepted iff a start state completes
+/// at position 0, so acceptance is the backward pass alone. A session
+/// computes every row of its context with one scanner; accepts and
+/// executedTransitions are one-trace calls into the same code. The
+/// per-trace computations they replaced are the test oracles
+/// acceptsReference and executedTransitionsReference
+/// (fa/AutomatonReference.h).
 ///
 /// Transitions are identified by their insertion index; that index is the
 /// FCA attribute id throughout the system, so transitions are never removed
@@ -92,27 +96,18 @@ public:
     return Incoming[S];
   }
 
-  /// Returns true if any transition is an epsilon transition.
-  bool hasEpsilons() const;
-
-  /// Returns the set of start states, epsilon-closed.
+  /// Returns the set of start states.
   BitVector startSet() const;
 
-  /// Epsilon-closes \p States in place.
-  void epsilonClose(BitVector &States) const;
-
-  /// Returns true if the automaton accepts \p T.
+  /// Returns true if the automaton accepts \p T. For many traces of one
+  /// table, use a RelationScanner.
   bool accepts(const Trace &T, const EventTable &Table) const;
 
   /// Computes the paper's relation R for trace \p T: the set of transitions
   /// that appear on at least one accepting run over \p T. Empty if the
-  /// trace is not accepted. Requires an epsilon-free automaton. For many
-  /// traces of one table, use a RelationScanner.
+  /// trace is not accepted. For many traces of one table, use a
+  /// RelationScanner.
   BitVector executedTransitions(const Trace &T, const EventTable &Table) const;
-
-  /// Returns an equivalent epsilon-free automaton. Transition ids are NOT
-  /// preserved.
-  Automaton withoutEpsilons() const;
 
   /// Returns an equivalent automaton keeping only states both reachable
   /// from a start state and co-reachable to an accepting state. Transition
@@ -158,7 +153,7 @@ private:
   std::vector<std::vector<TransitionId>> Incoming;
 };
 
-/// The relation R of one epsilon-free automaton over the traces of one
+/// Acceptance and the relation R of one automaton over the traces of one
 /// event table. The match list of an event (the transitions whose label
 /// matches it) is built the first time the event appears; the pass buffers
 /// are reused from trace to trace. \p FA and \p Table must outlive the
@@ -166,6 +161,11 @@ private:
 class RelationScanner {
 public:
   RelationScanner(const Automaton &FA, const EventTable &Table);
+
+  /// True iff the automaton accepts \p T: the backward pass leaves a start
+  /// state live at position 0. executed() runs its forward pass on what
+  /// this leaves behind.
+  bool accepts(const Trace &T);
 
   /// R for \p T: the transitions on at least one accepting run over \p T,
   /// empty if \p T is rejected. Valid until the next call.

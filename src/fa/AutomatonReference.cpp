@@ -1,4 +1,4 @@
-//===- fa/AutomatonReference.cpp - The per-trace relation oracle ----------===//
+//===- fa/AutomatonReference.cpp - Per-trace simulation oracles -----------===//
 //
 // Part of the Cable reproduction of "Debugging Temporal Specifications with
 // Concept Analysis" (PLDI 2003). MIT license.
@@ -7,15 +7,11 @@
 
 #include "fa/AutomatonReference.h"
 
-#include <cassert>
-
 using namespace cable;
 
 BitVector cable::executedTransitionsReference(const Automaton &FA,
                                              const Trace &T,
                                              const EventTable &Table) {
-  assert(!FA.hasEpsilons() &&
-         "executedTransitions requires an epsilon-free automaton");
   size_t N = T.size();
 
   // Forward[i] = states reachable from a start state consuming T[0..i).
@@ -62,4 +58,26 @@ BitVector cable::executedTransitionsReference(const Automaton &FA,
       }
   }
   return Executed;
+}
+
+bool cable::acceptsReference(const Automaton &FA, const Trace &T,
+                             const EventTable &Table) {
+  BitVector Current = FA.startSet();
+  for (EventId EI : T.events()) {
+    if (Current.none())
+      return false;
+    const Event &E = Table.event(EI);
+    BitVector Next(FA.numStates());
+    for (size_t S : Current)
+      for (TransitionId TI : FA.outgoing(static_cast<StateId>(S))) {
+        const Transition &Tr = FA.transition(TI);
+        if (Tr.Label.matches(E))
+          Next.set(Tr.To);
+      }
+    Current = std::move(Next);
+  }
+  for (size_t S : Current)
+    if (FA.isAccepting(static_cast<StateId>(S)))
+      return true;
+  return false;
 }

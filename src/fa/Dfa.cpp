@@ -84,7 +84,6 @@ Dfa Dfa::determinize(const Automaton &NFA, const std::vector<EventId> &Alphabet,
           if (Tr.Label.matches(E))
             Next.set(Tr.To);
         }
-      NFA.epsilonClose(Next);
       Out.Delta[D][A] = GetState(Next);
     }
   }
@@ -189,6 +188,9 @@ Dfa Dfa::minimized() const {
 }
 
 Dfa Dfa::minimizedHopcroft() const {
+  TraceSpan Span("fa-minimize", static_cast<int64_t>(numStates()));
+  MinimizeCalls.add();
+  MinimizeStatesIn.add(numStates());
   size_t N = numStates();
   size_t M = Alphabet.size();
 
@@ -294,7 +296,9 @@ Dfa Dfa::minimizedHopcroft() const {
 
   // Drop blocks unreachable from the start (Hopcroft refines the whole
   // state set, including states nothing can reach).
-  return Out.trimUnreachable();
+  Dfa Min = Out.trimUnreachable();
+  MinimizeStatesOut.add(Min.numStates());
+  return Min;
 }
 
 Dfa Dfa::minimizeBrzozowski(const Automaton &NFA,

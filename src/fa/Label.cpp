@@ -41,18 +41,10 @@ TransitionLabel TransitionLabel::wildcard() {
   return L;
 }
 
-TransitionLabel TransitionLabel::epsilon() {
-  TransitionLabel L;
-  L.K = Kind::Epsilon;
-  return L;
-}
-
 bool TransitionLabel::matches(const Event &E) const {
   switch (K) {
   case Kind::Wildcard:
     return true;
-  case Kind::Epsilon:
-    return false;
   case Kind::NameAny:
     return E.Name == Name;
   case Kind::Exact:
@@ -79,8 +71,6 @@ std::string TransitionLabel::render(const EventTable &Table) const {
   switch (K) {
   case Kind::Wildcard:
     return "<any>";
-  case Kind::Epsilon:
-    return "<eps>";
   case Kind::NameAny:
     return Table.nameText(Name) + "(..)";
   case Kind::Exact: {

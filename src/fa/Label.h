@@ -6,16 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Labels on automaton transitions. A label matches trace events. Four
+/// Labels on automaton transitions. A label matches trace events. Three
 /// kinds:
 ///
 ///  - Exact:    a specific interaction name with per-argument patterns
 ///              (a concrete canonical value, or "any value");
 ///  - NameAny:  a specific name, any arguments;
 ///  - Wildcard: any event (the `wildcard` of the paper's name-projection
-///              template, §4.1);
-///  - Epsilon:  matches nothing, consumed silently (used only by the regex
-///              builder; reference FAs are epsilon-free).
+///              template, §4.1).
+///
+/// Every label consumes one event: automata have no silent moves. The
+/// regex compiler's Thompson construction keeps its silent moves to itself
+/// (fa/Regex.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +49,7 @@ struct ArgPattern {
 /// A transition label.
 class TransitionLabel {
 public:
-  enum class Kind { Exact, NameAny, Wildcard, Epsilon };
+  enum class Kind { Exact, NameAny, Wildcard };
 
   /// Builds an Exact label matching \p Name with argument patterns \p Args.
   static TransitionLabel exact(NameId Name, std::vector<ArgPattern> Args);
@@ -61,17 +63,12 @@ public:
   /// Builds the wildcard label.
   static TransitionLabel wildcard();
 
-  /// Builds the epsilon label.
-  static TransitionLabel epsilon();
-
   Kind kind() const { return K; }
-  bool isEpsilon() const { return K == Kind::Epsilon; }
 
   NameId name() const { return Name; }
   const std::vector<ArgPattern> &args() const { return Args; }
 
-  /// Returns true if this label matches event \p E. Epsilon matches no
-  /// event.
+  /// Returns true if this label matches event \p E.
   bool matches(const Event &E) const;
 
   /// Returns true if the label mentions canonical value \p V in some
@@ -83,7 +80,7 @@ public:
   }
 
   /// Renders the label: `eventname(v0,*)`, `eventname(*ANY*)` for NameAny,
-  /// `<any>` for wildcard, `<eps>` for epsilon.
+  /// `<any>` for wildcard.
   std::string render(const EventTable &Table) const;
 
 private:

@@ -164,7 +164,6 @@ std::optional<Automaton> cable::parseAutomaton(std::string_view Text,
 
 std::string cable::renderAutomatonText(const Automaton &FA,
                                        const EventTable &Table) {
-  assert(!FA.hasEpsilons() && "epsilon transitions are not representable");
   std::string Out;
   std::string Starts, Accepts;
   for (size_t S = 0; S < FA.numStates(); ++S) {
@@ -189,8 +188,6 @@ std::string cable::renderAutomatonText(const Automaton &FA,
     case TransitionLabel::Kind::Exact:
       Label = T.Label.render(Table);
       break;
-    case TransitionLabel::Kind::Epsilon:
-      CABLE_UNREACHABLE("epsilon transition in renderAutomatonText");
     }
     Out += "q" + std::to_string(T.From) + " " + Label + " q" +
            std::to_string(T.To) + "\n";

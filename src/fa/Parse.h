@@ -47,8 +47,7 @@ std::optional<Automaton> parseAutomaton(std::string_view Text,
                                         EventTable &Table, Diagnostic &Diag);
 
 /// Renders \p FA in the parseAutomaton format (modulo state renumbering,
-/// parse(render(FA)) accepts the same language). Epsilon transitions are
-/// not representable and must be removed first.
+/// parse(render(FA)) accepts the same language).
 std::string renderAutomatonText(const Automaton &FA, const EventTable &Table);
 
 } // namespace cable

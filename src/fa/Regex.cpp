@@ -18,6 +18,45 @@ using namespace cable;
 
 namespace {
 
+/// \p FA plus the ε-moves \p Eps (Eps[S]: their targets from S), without
+/// ε: each state keeps its id, takes the labelled out-edges of its
+/// ε-closure (in state order, then insertion order) and accepts if the
+/// closure does. Then trimmed.
+Automaton removeEpsilons(const Automaton &FA,
+                         const std::vector<std::vector<StateId>> &Eps) {
+  size_t N = FA.numStates();
+  Automaton Out;
+  for (size_t S = 0; S < N; ++S)
+    Out.addState();
+  std::vector<StateId> Worklist;
+  for (StateId S = 0; S < N; ++S) {
+    BitVector Closure(N);
+    Closure.set(S);
+    Worklist.assign(1, S);
+    while (!Worklist.empty()) {
+      StateId C = Worklist.back();
+      Worklist.pop_back();
+      for (StateId To : Eps[C])
+        if (!Closure.test(To)) {
+          Closure.set(To);
+          Worklist.push_back(To);
+        }
+    }
+    bool Accept = false;
+    for (size_t C : Closure) {
+      Accept |= FA.isAccepting(static_cast<StateId>(C));
+      for (TransitionId TI : FA.outgoing(static_cast<StateId>(C))) {
+        const Transition &Tr = FA.transition(TI);
+        Out.addTransition(S, Tr.To, Tr.Label);
+      }
+    }
+    Out.setAccepting(S, Accept);
+    if (FA.isStart(S))
+      Out.setStart(S);
+  }
+  return Out.trimmed();
+}
+
 /// Token kinds produced by the lexer.
 enum class TokKind { Event, NameAny, Dot, Bar, Star, Plus, Question,
                      LBracket, RBracket, End };
@@ -47,7 +86,7 @@ public:
     }
     FA.setStart(F.Start);
     FA.setAccepting(F.Accept);
-    return std::move(FA);
+    return removeEpsilons(FA, Eps);
   }
 
   /// 0-based offset of the error within the pattern; valid after parse()
@@ -148,14 +187,19 @@ private:
   const Token &peek() const { return Tokens[Pos]; }
   void advance() { ++Pos; }
 
+  StateId addState() {
+    Eps.emplace_back();
+    return FA.addState();
+  }
+
   Frag makeEpsilon() {
-    Frag F{FA.addState(), FA.addState()};
-    FA.addTransition(F.Start, F.Accept, TransitionLabel::epsilon());
+    Frag F{addState(), addState()};
+    Eps[F.Start].push_back(F.Accept);
     return F;
   }
 
   Frag makeLabel(TransitionLabel L) {
-    Frag F{FA.addState(), FA.addState()};
+    Frag F{addState(), addState()};
     FA.addTransition(F.Start, F.Accept, std::move(L));
     return F;
   }
@@ -239,14 +283,14 @@ private:
       if (K != TokKind::Star && K != TokKind::Plus && K != TokKind::Question)
         break;
       advance();
-      StateId S = FA.addState();
-      StateId A = FA.addState();
-      FA.addTransition(S, F.Start, TransitionLabel::epsilon());
-      FA.addTransition(F.Accept, A, TransitionLabel::epsilon());
+      StateId S = addState();
+      StateId A = addState();
+      Eps[S].push_back(F.Start);
+      Eps[F.Accept].push_back(A);
       if (K == TokKind::Star || K == TokKind::Plus)
-        FA.addTransition(F.Accept, F.Start, TransitionLabel::epsilon());
+        Eps[F.Accept].push_back(F.Start);
       if (K == TokKind::Star || K == TokKind::Question)
-        FA.addTransition(S, A, TransitionLabel::epsilon());
+        Eps[S].push_back(A);
       F = Frag{S, A};
     }
     return F;
@@ -265,7 +309,7 @@ private:
       Frag G = parsePostfix(ErrorMsg);
       if (!Ok)
         break;
-      FA.addTransition(F.Accept, G.Start, TransitionLabel::epsilon());
+      Eps[F.Accept].push_back(G.Start);
       F = Frag{F.Start, G.Accept};
     }
     return F;
@@ -278,12 +322,12 @@ private:
       Frag G = parseConcat(ErrorMsg);
       if (!Ok)
         break;
-      StateId S = FA.addState();
-      StateId A = FA.addState();
-      FA.addTransition(S, F.Start, TransitionLabel::epsilon());
-      FA.addTransition(S, G.Start, TransitionLabel::epsilon());
-      FA.addTransition(F.Accept, A, TransitionLabel::epsilon());
-      FA.addTransition(G.Accept, A, TransitionLabel::epsilon());
+      StateId S = addState();
+      StateId A = addState();
+      Eps[S].push_back(F.Start);
+      Eps[S].push_back(G.Start);
+      Eps[F.Accept].push_back(A);
+      Eps[G.Accept].push_back(A);
       F = Frag{S, A};
     }
     return F;
@@ -295,6 +339,9 @@ private:
   size_t Pos = 0;
   size_t ErrOffset = 0;
   Automaton FA;
+  /// Per state of FA, the targets of its ε-moves; FA holds only the
+  /// labelled transitions.
+  std::vector<std::vector<StateId>> Eps;
   bool Ok = true;
 };
 
@@ -331,5 +378,5 @@ Automaton cable::compileRegexOrDie(std::string_view Pattern,
     std::string Msg = "bad regex '" + std::string(Pattern) + "': " + ErrorMsg;
     reportFatalError(Msg.c_str());
   }
-  return FA->withoutEpsilons();
+  return std::move(*FA);
 }

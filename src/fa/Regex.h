@@ -23,9 +23,9 @@
 /// Example — the paper's buggy stdio specification (Fig. 1):
 ///   `[fopen(v0) | popen(v0)] [fread(v0) | fwrite(v0)]* fclose(v0)`
 ///
-/// The produced automaton contains epsilon transitions; callers that need
-/// an epsilon-free FA (e.g. to use it as a reference FA) should apply
-/// Automaton::withoutEpsilons().
+/// Thompson construction needs silent moves; the compiler keeps them
+/// beside the automaton it builds and removes them before returning, so
+/// the result is an ordinary trimmed Automaton, usable as a reference FA.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +41,7 @@
 
 namespace cable {
 
-/// Compiles \p Pattern to an automaton (with epsilons). Returns
+/// Compiles \p Pattern to a trimmed automaton. Returns
 /// std::nullopt and sets \p ErrorMsg on a syntax error. Event names and
 /// events are interned into \p Table.
 std::optional<Automaton> compileRegex(std::string_view Pattern,
@@ -54,8 +54,8 @@ std::optional<Automaton> compileRegex(std::string_view Pattern,
 std::optional<Automaton> compileRegex(std::string_view Pattern,
                                       EventTable &Table, Diagnostic &Diag);
 
-/// Convenience: compiles \p Pattern and returns the epsilon-free, trimmed
-/// automaton. Aborts on syntax errors — use only with hardcoded literal
+/// Convenience: compiles \p Pattern and returns the trimmed automaton.
+/// Aborts on syntax errors — use only with hardcoded literal
 /// patterns (protocol models, benchmarks); anything user-supplied must go
 /// through compileRegex and surface the diagnostic instead.
 Automaton compileRegexOrDie(std::string_view Pattern, EventTable &Table);

@@ -14,8 +14,8 @@
 ///  - Seed order:      (e0|...|en)* ; seed ; (e0|...|en)*
 ///
 /// plus a prefix-tree acceptor (an FA recognizing exactly a trace set) and
-/// the trivial all-traces FA. All builders produce epsilon-free automata,
-/// so their transitions can serve directly as FCA attributes.
+/// the trivial all-traces FA. Their transitions serve directly as FCA
+/// attributes.
 ///
 //===----------------------------------------------------------------------===//
 

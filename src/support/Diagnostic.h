@@ -28,7 +28,7 @@ namespace cable {
 enum class ErrorCode : uint8_t {
   Ok = 0,
   /// A caller-supplied value is malformed regardless of system state
-  /// (bad regex, epsilon reference FA, zero budget).
+  /// (bad failpoint spec, a snapshot over another trace set, zero budget).
   InvalidArgument,
   /// Structured text failed to parse (trace file, automaton file, event).
   ParseError,

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <mutex>
 
 using namespace cable;
 
@@ -29,10 +28,7 @@ struct Entry {
   std::unique_ptr<Metrics::Histogram> H;
 };
 
-struct Registry {
-  std::mutex Mutex;
-  std::map<std::string, Entry, std::less<>> Entries;
-};
+using Registry = std::map<std::string, Entry, std::less<>>;
 
 /// Intentionally leaked: instrumentation sites hold references obtained
 /// during static init, and counters may still tick during static
@@ -45,8 +41,9 @@ Registry &registry() {
 /// Fixed-size crash index over the registry, readable from a signal
 /// handler: name pointers into the leaked map's keys (stable), value
 /// pointers at the never-freed metric objects. Appends publish the new
-/// count with a release store; crashIndexRead walks it acquire-side with
-/// no lock. 4096 slots is an order of magnitude beyond the catalog.
+/// count with a release store, so a signal that interrupts an append sees
+/// only whole slots; crashIndexRead walks it acquire-side. 4096 slots is
+/// an order of magnitude beyond the catalog.
 constexpr size_t kMaxCrashIndex = 4096;
 
 struct CrashIndexSlot {
@@ -60,7 +57,7 @@ struct CrashIndexSlot {
 CrashIndexSlot GCrashIndex[kMaxCrashIndex];
 std::atomic<size_t> GCrashIndexCount{0};
 
-/// Called under the registry mutex, once per newly registered metric.
+/// Called once per newly registered metric.
 void crashIndexAppend(const std::string &Name, const Entry &E) {
   size_t N = GCrashIndexCount.load(std::memory_order_relaxed);
   if (N >= kMaxCrashIndex)
@@ -76,9 +73,8 @@ void crashIndexAppend(const std::string &Name, const Entry &E) {
 
 Entry &findOrCreate(std::string_view Name, Metrics::Sample::Kind Kind) {
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  auto It = R.Entries.find(Name);
-  if (It == R.Entries.end()) {
+  auto It = R.find(Name);
+  if (It == R.end()) {
     Entry E;
     E.Kind = Kind;
     switch (Kind) {
@@ -92,7 +88,7 @@ Entry &findOrCreate(std::string_view Name, Metrics::Sample::Kind Kind) {
       E.H = std::make_unique<Metrics::Histogram>();
       break;
     }
-    It = R.Entries.emplace(std::string(Name), std::move(E)).first;
+    It = R.emplace(std::string(Name), std::move(E)).first;
     crashIndexAppend(It->first, It->second);
   }
   if (It->second.Kind != Kind) {
@@ -151,17 +147,14 @@ Metrics::Histogram &Metrics::histogram(std::string_view Name) {
 
 uint64_t Metrics::counterValue(std::string_view Name) {
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  auto It = R.Entries.find(Name);
-  if (It == R.Entries.end() || It->second.Kind != Sample::KindCounter)
+  auto It = R.find(Name);
+  if (It == R.end() || It->second.Kind != Sample::KindCounter)
     return 0;
   return It->second.C->value();
 }
 
 void Metrics::reset() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  for (auto &[Name, E] : R.Entries) {
+  for (auto &[Name, E] : registry()) {
     switch (E.Kind) {
     case Sample::KindCounter:
       E.C->V.store(0, std::memory_order_relaxed);
@@ -212,10 +205,9 @@ uint64_t Metrics::Histogram::quantile(double Q) const {
 
 std::vector<Metrics::Sample> Metrics::snapshot() {
   Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
   std::vector<Sample> Out;
-  Out.reserve(R.Entries.size());
-  for (const auto &[Name, E] : R.Entries) {
+  Out.reserve(R.size());
+  for (const auto &[Name, E] : R) {
     Sample S;
     S.Name = Name;
     S.K = E.Kind;

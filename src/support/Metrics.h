@@ -16,16 +16,22 @@
 ///    atomic load and a predicted branch. Nothing else is touched; timers
 ///    do not even sample the clock.
 ///  - Armed (Metrics::setEnabled(true), done by `--stats`,
-///    `--metrics-out`, `--run-report`, and the bench harness), the hot
-///    path is lock-free: counters and gauges are one relaxed fetch_add,
-///    histograms one fetch_add into a bucket plus two for sum/count.
+///    `--metrics-out`, `--run-report`, and the bench harness), a counter
+///    or gauge write is one relaxed load and one relaxed store, and a
+///    histogram write is that for a bucket, the sum, the count and the
+///    max.
 ///  - Compiled out entirely with -DCABLE_NO_INSTRUMENT=ON: the mutating
 ///    calls become empty inline functions the optimizer deletes, which is
 ///    what the overhead-guard bench compares against.
+///  - One thread, like Log and TraceLog: Cable answers one user's commands
+///    on one thread, so writes take no read-modify-write and the registry
+///    takes no lock. The one reader that can run in the middle of a write
+///    is the flight recorder's signal handler (crashIndexRead), so the
+///    cells stay std::atomic: it reads each cell whole, before or after
+///    the store.
 ///
-/// Handles are registered once (mutex-protected) and cached in static
-/// references at the instrumentation site, so name lookup never happens
-/// on a hot path:
+/// Handles are registered once and cached in static references at the
+/// instrumentation site, so name lookup never happens on a hot path:
 ///
 ///   namespace { Metrics::Counter &NumClosures =
 ///       Metrics::counter("lattice.closures"); }
@@ -69,7 +75,7 @@ public:
     void add(uint64_t N = 1) {
 #ifndef CABLE_NO_INSTRUMENT
       if (enabled())
-        V.fetch_add(N, std::memory_order_relaxed);
+        bump(V, N);
 #else
       (void)N;
 #endif
@@ -95,7 +101,7 @@ public:
     void add(int64_t N) {
 #ifndef CABLE_NO_INSTRUMENT
       if (enabled())
-        V.fetch_add(N, std::memory_order_relaxed);
+        bump(V, N);
 #else
       (void)N;
 #endif
@@ -109,11 +115,9 @@ public:
 #ifndef CABLE_NO_INSTRUMENT
       if (!enabled())
         return;
-      int64_t Now = V.fetch_add(N, std::memory_order_relaxed) + N;
-      int64_t Seen = Hi.load(std::memory_order_relaxed);
-      while (Now > Seen &&
-             !Hi.compare_exchange_weak(Seen, Now, std::memory_order_relaxed))
-        ;
+      int64_t Now = bump(V, N);
+      if (Now > Hi.load(std::memory_order_relaxed))
+        Hi.store(Now, std::memory_order_relaxed);
 #else
       (void)N;
 #endif
@@ -128,8 +132,7 @@ public:
   /// Fixed-bucket histogram for latencies and sizes. Bucket \c i holds
   /// values v with bucketIndex(v) == i: bucket 0 holds v == 0, bucket
   /// i >= 1 holds 2^(i-1) <= v < 2^i, and the last bucket absorbs
-  /// everything larger (the overflow bucket). Recording is three relaxed
-  /// fetch_adds plus a CAS loop for the max.
+  /// everything larger (the overflow bucket).
   class Histogram {
   public:
     static constexpr size_t kNumBuckets = 30;
@@ -153,13 +156,11 @@ public:
 #ifndef CABLE_NO_INSTRUMENT
       if (!enabled())
         return;
-      Buckets[bucketIndex(V)].fetch_add(1, std::memory_order_relaxed);
-      Sum.fetch_add(V, std::memory_order_relaxed);
-      N.fetch_add(1, std::memory_order_relaxed);
-      uint64_t Seen = Max.load(std::memory_order_relaxed);
-      while (V > Seen &&
-             !Max.compare_exchange_weak(Seen, V, std::memory_order_relaxed))
-        ;
+      bump(Buckets[bucketIndex(V)], uint64_t(1));
+      bump(Sum, V);
+      bump(N, uint64_t(1));
+      if (V > Max.load(std::memory_order_relaxed))
+        Max.store(V, std::memory_order_relaxed);
 #else
       (void)V;
 #endif
@@ -185,8 +186,8 @@ public:
   };
 
   /// Registry lookups: find-or-create by name. Safe from static
-  /// initializers (Meyers-style, intentionally leaked registry) and from
-  /// any thread; returned references stay valid for the process lifetime.
+  /// initializers (Meyers-style, intentionally leaked registry); returned
+  /// references stay valid for the process lifetime.
   /// A name registers as exactly one kind; reusing it as another aborts.
   static Counter &counter(std::string_view Name);
   static Gauge &gauge(std::string_view Name);
@@ -250,6 +251,14 @@ public:
   static size_t crashIndexRead(CrashEntry *Out, size_t Cap);
 
 private:
+  /// Adds \p N to \p Cell and returns the new value: one writer, so a
+  /// relaxed load and a relaxed store.
+  template <typename T> static T bump(std::atomic<T> &Cell, T N) {
+    T Now = Cell.load(std::memory_order_relaxed) + N;
+    Cell.store(Now, std::memory_order_relaxed);
+    return Now;
+  }
+
   static std::atomic<bool> Armed;
 };
 

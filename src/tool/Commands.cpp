@@ -252,7 +252,7 @@ bool CommandInterpreter::apply(const std::vector<std::string> &Args,
       return false;
     }
     Stack.push_back(std::make_unique<FocusSession>(
-        S.focus(*Id, FA->withoutEpsilons())));
+        S.focus(*Id, std::move(*FA))));
     Session &Sub = current();
     appendf(Out, "focused: %zu traces, %zu concepts", Sub.numObjects(),
             Sub.lattice().size());

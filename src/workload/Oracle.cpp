@@ -19,19 +19,21 @@ bool Oracle::isCorrect(const Trace &T, const EventTable &Table) const {
 }
 
 std::vector<std::string> Oracle::labelNames(const Session &S) const {
+  RelationScanner Scanner(CorrectFA, S.table());
   std::vector<std::string> Out;
   Out.reserve(S.numObjects());
   for (size_t Obj = 0; Obj < S.numObjects(); ++Obj)
-    Out.push_back(isCorrect(S.object(Obj), S.table()) ? "good" : "bad");
+    Out.push_back(Scanner.accepts(S.object(Obj)) ? "good" : "bad");
   return Out;
 }
 
 std::vector<std::string> Oracle::variantLabelNames(const Session &S) const {
+  RelationScanner Scanner(CorrectFA, S.table());
   std::vector<std::string> Out;
   Out.reserve(S.numObjects());
   for (size_t Obj = 0; Obj < S.numObjects(); ++Obj) {
     const Trace &T = S.object(Obj);
-    if (!isCorrect(T, S.table())) {
+    if (!Scanner.accepts(T)) {
       Out.push_back("bad");
       continue;
     }

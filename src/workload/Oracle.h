@@ -34,7 +34,7 @@ public:
   /// True iff the correct FA accepts \p T.
   bool isCorrect(const Trace &T, const EventTable &Table) const;
 
-  /// The correct-language FA (epsilon-free).
+  /// The correct-language FA.
   const Automaton &correctFA() const { return CorrectFA; }
 
   /// Per-object label names ("good"/"bad") for \p S's objects.

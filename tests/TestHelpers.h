@@ -37,12 +37,12 @@ inline TraceSet parseTraces(const char *Text) {
   return TS ? std::move(*TS) : TraceSet();
 }
 
-/// Compiles a regex to an epsilon-free FA, failing the test on errors.
+/// Compiles a regex, failing the test on errors.
 inline Automaton compileFA(std::string_view Pattern, EventTable &Table) {
   std::string Err;
   std::optional<Automaton> FA = compileRegex(Pattern, Table, Err);
   EXPECT_TRUE(FA.has_value()) << "bad pattern '" << Pattern << "': " << Err;
-  return FA ? FA->withoutEpsilons() : Automaton();
+  return FA ? std::move(*FA) : Automaton();
 }
 
 } // namespace cable::test

@@ -353,18 +353,6 @@ TEST(SessionTest, DescribeConceptMentionsStateAndSim) {
   EXPECT_NE(Desc.find("unlabeled"), std::string::npos);
 }
 
-TEST(SessionTest, BuildRejectsEpsilonAutomaton) {
-  TraceSet Traces = parseTraces("a(v0)\n");
-  Automaton Eps;
-  StateId S0 = Eps.addState(), S1 = Eps.addState();
-  Eps.setStart(S0);
-  Eps.setAccepting(S1);
-  Eps.addTransition(S0, S1, TransitionLabel::epsilon());
-  StatusOr<Session> Built = Session::build(std::move(Traces), std::move(Eps));
-  ASSERT_FALSE(Built.isOk());
-  EXPECT_EQ(Built.status().code(), ErrorCode::InvalidArgument);
-}
-
 TEST(SessionTest, ConceptCapTruncatesButKeepsBaselineClasses) {
   TraceSet Traces = parseTraces("popen(v0) fread(v0) pclose(v0)\n"
                                 "popen(v0) fwrite(v0) pclose(v0)\n"

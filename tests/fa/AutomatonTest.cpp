@@ -50,7 +50,7 @@ BitVector bruteForceExecuted(const Automaton &FA, const Trace &T,
   return Out;
 }
 
-/// Generates a random epsilon-free NFA over \p Names.
+/// Generates a random NFA over \p Names.
 Automaton randomNFA(RNG &Rand, EventTable &Table,
                     const std::vector<std::string> &Names) {
   Automaton FA;
@@ -193,20 +193,6 @@ TEST(AutomatonTest, WildcardTransitionsExecute) {
   BitVector Ey = FA.executedTransitions(makeTrace(T, "y"), T);
   EXPECT_TRUE(Ey.test(W));
   EXPECT_FALSE(Ey.test(X));
-}
-
-TEST(AutomatonTest, WithoutEpsilonsPreservesLanguage) {
-  EventTable T;
-  std::string Err;
-  std::optional<Automaton> Raw = compileRegex("a* [b | c]+", T, Err);
-  ASSERT_TRUE(Raw.has_value()) << Err;
-  ASSERT_TRUE(Raw->hasEpsilons());
-  Automaton FA = Raw->withoutEpsilons();
-  EXPECT_FALSE(FA.hasEpsilons());
-  for (const char *Good : {"b", "c", "a b", "a a b c b"})
-    EXPECT_TRUE(FA.accepts(makeTrace(T, Good), T)) << Good;
-  for (const char *Bad : {"", "a", "b a"})
-    EXPECT_FALSE(FA.accepts(makeTrace(T, Bad), T)) << Bad;
 }
 
 TEST(AutomatonTest, TrimmedDropsUselessStates) {

@@ -27,12 +27,6 @@ TEST_F(LabelTest, WildcardMatchesEverything) {
   EXPECT_TRUE(W.matches(Event(G, {1, 2})));
 }
 
-TEST_F(LabelTest, EpsilonMatchesNothing) {
-  TransitionLabel E = TransitionLabel::epsilon();
-  EXPECT_TRUE(E.isEpsilon());
-  EXPECT_FALSE(E.matches(Event(F, {})));
-}
-
 TEST_F(LabelTest, NameAnyIgnoresArgs) {
   TransitionLabel L = TransitionLabel::nameAny(F);
   EXPECT_TRUE(L.matches(Event(F, {})));
@@ -69,7 +63,6 @@ TEST_F(LabelTest, MentionsValue) {
 
 TEST_F(LabelTest, Render) {
   EXPECT_EQ(TransitionLabel::wildcard().render(T), "<any>");
-  EXPECT_EQ(TransitionLabel::epsilon().render(T), "<eps>");
   EXPECT_EQ(TransitionLabel::nameAny(F).render(T), "f(..)");
   EXPECT_EQ(TransitionLabel::exact(F, {}).render(T), "f");
   EXPECT_EQ(TransitionLabel::exact(F, {ArgPattern::value(0),

@@ -8,8 +8,13 @@
 #include "fa/Regex.h"
 
 #include "../TestHelpers.h"
+#include "fa/Parse.h"
+#include "workload/Protocols.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace cable;
 using cable::test::compileFA;
@@ -147,4 +152,37 @@ TEST(RegexTest, DoubleStarIsIdempotent) {
   Automaton FA = compileFA("a**", T);
   EXPECT_TRUE(FA.accepts(Trace(), T));
   EXPECT_TRUE(FA.accepts(makeTrace(T, "a a"), T));
+}
+
+TEST(RegexTest, ClosureRemovalPreservesLanguage) {
+  EventTable T;
+  Automaton FA = compileFA("a* [b | c]+", T);
+  for (const char *Good : {"b", "c", "a b", "a a b c b"})
+    EXPECT_TRUE(FA.accepts(makeTrace(T, Good), T)) << Good;
+  for (const char *Bad : {"", "a", "b a"})
+    EXPECT_FALSE(FA.accepts(makeTrace(T, Bad), T)) << Bad;
+}
+
+TEST(RegexTest, CompiledAutomataMatchGolden) {
+  // Every protocol's correct language, the buggy stdio specification and
+  // one closure-heavy pattern, state for state and transition for
+  // transition: the ids are the FCA attribute ids of every session built
+  // over a compiled FA.
+  std::vector<std::pair<std::string, std::string>> Cases;
+  for (const ProtocolModel &M : allProtocols())
+    Cases.emplace_back(M.Name, M.CorrectRegex);
+  Cases.emplace_back("stdio", stdioProtocol().CorrectRegex);
+  Cases.emplace_back("stdio-buggy", stdioBuggyRegex());
+  Cases.emplace_back("star-plus", "a* [b | c]+");
+  std::string Got;
+  for (const auto &[Name, Pattern] : Cases) {
+    EventTable T;
+    Got += "# " + Name + ": " + Pattern + "\n";
+    Got += renderAutomatonText(compileRegexOrDie(Pattern, T), T);
+  }
+  std::ifstream In(CABLE_TEST_GOLDEN_DIR "/regex_automata.txt");
+  ASSERT_TRUE(In.good());
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
 }

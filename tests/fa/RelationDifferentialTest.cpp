@@ -7,7 +7,9 @@
 //
 // The relation R by match lists (RelationScanner, and the one-trace
 // Automaton::executedTransitions) against the three-pass oracle
-// executedTransitionsReference, row for row: on every session context of
+// executedTransitionsReference, row for row, and acceptance by R's backward
+// pass (RelationScanner::accepts, and the one-trace Automaton::accepts)
+// against the forward walk acceptsReference: on every session context of
 // the 17 protocols plus stdio (the CLI's scenarios under the unordered and
 // the recommended reference FA, and Table 3's extracted scenarios), on the
 // sk-strings NFAs the mine/re-mine loop learns, on the focus templates, on
@@ -43,7 +45,8 @@ std::string render(const BitVector &Row) {
 }
 
 /// One scanner over all of \p Traces, as Session::init uses it, and the
-/// one-trace call, each against the oracle.
+/// one-trace calls, each against the oracles: R and acceptance. The scanner
+/// alternates between the two, as a caller may.
 void expectSameRelation(const Automaton &FA, const std::vector<Trace> &Traces,
                         const EventTable &Table, const std::string &What) {
   RelationScanner Scanner(FA, Table);
@@ -54,18 +57,26 @@ void expectSameRelation(const Automaton &FA, const std::vector<Trace> &Traces,
                              << render(Got) << " vs " << render(Want);
     EXPECT_TRUE(FA.executedTransitions(Traces[I], Table) == Want)
         << What << ", trace " << I << " (one-trace call)";
+    bool Accepted = acceptsReference(FA, Traces[I], Table);
+    EXPECT_EQ(Scanner.accepts(Traces[I]), Accepted)
+        << What << ", trace " << I << " (acceptance)";
+    EXPECT_EQ(FA.accepts(Traces[I], Table), Accepted)
+        << What << ", trace " << I << " (one-trace acceptance)";
   }
 }
 
 /// Builds a session and expects its context and rejected list to be the
-/// ones the oracle's rows give.
+/// ones the oracle's rows give, and the scanner to agree with both oracles
+/// on its objects.
 void expectSessionMatchesOracle(TraceSet Traces, Automaton Ref,
                                 const std::string &What) {
   Session S(std::move(Traces), std::move(Ref));
   const Automaton &FA = S.referenceFA();
   Context Want(S.numObjects(), FA.numTransitions());
   std::vector<size_t> Rejected;
+  std::vector<Trace> Objects;
   for (size_t Obj = 0; Obj < S.numObjects(); ++Obj) {
+    Objects.push_back(S.object(Obj));
     BitVector Row = executedTransitionsReference(FA, S.object(Obj), S.table());
     if (Row.none() && !S.object(Obj).empty())
       Rejected.push_back(Obj);
@@ -77,6 +88,7 @@ void expectSessionMatchesOracle(TraceSet Traces, Automaton Ref,
   }
   EXPECT_EQ(S.context().contentHash(), Want.contentHash()) << What;
   EXPECT_EQ(S.rejectedObjects(), Rejected) << What;
+  expectSameRelation(FA, Objects, S.table(), What + " objects");
 }
 
 /// The 17 protocols and stdio.
@@ -284,11 +296,15 @@ TEST(RelationDifferentialTest, EmptyRejectedAndUnmatchedTraces) {
   };
   expectSameRelation(FA, Traces, Table, "regex FA");
 
+  EXPECT_FALSE(FA.accepts(Trace(), Table));
+
   // An automaton whose start state accepts: the empty trace is accepted
-  // yet executes nothing.
+  // yet executes nothing, the same empty row as a rejected trace.
   Automaton Star = compileFA("fread(v0)*", Table);
   expectSameRelation(Star, Traces, Table, "star FA");
   EXPECT_TRUE(Star.executedTransitions(Trace(), Table).none());
+  EXPECT_TRUE(Star.accepts(Trace(), Table));
+  EXPECT_FALSE(Star.accepts(makeTrace(Table, "other"), Table));
 
   // No states, and states with no transitions.
   expectSameRelation(Automaton(), Traces, Table, "empty FA");

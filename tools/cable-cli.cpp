@@ -147,7 +147,7 @@ int runCli(Tool &T) {
     std::optional<Automaton> FA = compileRegex(RefRegex, Traces.table(), Diag);
     if (!FA)
       return Tool::fail(Diag, "--ref");
-    Ref = FA->withoutEpsilons();
+    Ref = std::move(*FA);
   } else if (!RefFile.empty()) {
     StatusOr<std::string> Text = readFileToString(RefFile);
     if (!Text)

@@ -106,7 +106,7 @@ int runLint(Tool &T) {
     std::optional<Automaton> FA = compileRegex(SpecRegex, Input->table(), Diag);
     if (!FA)
       return Tool::fail(Diag, "--spec-regex");
-    Spec = FA->withoutEpsilons();
+    Spec = std::move(*FA);
   }
 
   // Verify (budgeted: one checkpoint per scenario).
